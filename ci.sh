@@ -40,7 +40,11 @@
 #      the kernel suite under ASan/UBSan per level), so the scalar and
 #      AVX2 code paths stay covered on machines whose dispatcher would
 #      otherwise always pick AVX-512. Unavailable levels are skipped —
-#      the matrix must pass on a non-AVX host.
+#      the matrix must pass on a non-AVX host. Each level also runs the
+#      benchmark's fit_sram workload for 2 s: its correctness gate holds
+#      BMF-PS fits at the paper's 3000-variable SRAM shape to a held-out
+#      error under 2% and to bitwise-repeatable coefficients, a shape no
+#      unit test reaches.
 #   8. Serving smoke test: start bmf_served on a temp socket, publish a
 #      tiny model with bmf_client, evaluate it, and shut the daemon down —
 #      proves the daemon/client binaries work end to end, not just the
@@ -173,6 +177,9 @@ for level in scalar avx2 avx512; do
       --output-on-failure
   echo "-- BMF_SIMD_LEVEL=$level: kernel suite under ASan/UBSan --"
   BMF_SIMD_LEVEL="$level" "$src_dir/build-ci-checked/tests/simd_kernels_test"
+  echo "-- BMF_SIMD_LEVEL=$level: fit_sram benchmark correctness gate --"
+  (cd "$src_dir" && BMF_SIMD_LEVEL="$level" python3 perfbench/run.py \
+      --workload fit_sram --seed 1 --seconds 2 --trace 0)
 done
 
 echo "== Serving smoke test =="

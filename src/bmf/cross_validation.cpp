@@ -43,46 +43,41 @@ double tau_grid_center(const linalg::Vector& f) {
 
 namespace {
 
-// y += w * G.row(row) over all M columns.
-void accumulate_row(const linalg::Matrix& g, std::size_t row, double w,
-                    linalg::Vector& y) {
-  const double* gr = g.row_ptr(row);
-  for (std::size_t p = 0; p < y.size(); ++p) y[p] += w * gr[p];
-}
-
-// <G.row(a), v>.
-double row_dot(const linalg::Matrix& g, std::size_t a,
-               const linalg::Vector& v) {
-  const double* ga = g.row_ptr(a);
-  double acc = 0.0;
-  for (std::size_t p = 0; p < v.size(); ++p) acc += ga[p] * v[p];
-  return acc;
+// b[rows, cols] as a dense rows.size() x cols.size() matrix.
+linalg::Matrix submatrix(const linalg::Matrix& b,
+                         const std::vector<std::size_t>& rows,
+                         const std::vector<std::size_t>& cols) {
+  linalg::Matrix out(rows.size(), cols.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double* bi = b.row_ptr(rows[i]);
+    double* oi = out.row_ptr(i);
+    for (std::size_t j = 0; j < cols.size(); ++j) oi[j] = bi[cols[j]];
+  }
+  return out;
 }
 
 }  // namespace
 
 CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
                    const CoefficientPrior& prior, const CvOptions& options)
-    : g_(&g), f_(&f) {
+    : CvEngine(g, f, PriorKernel(g, prior), options) {}
+
+CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
+                   const PriorKernel& kernel, const CvOptions& options)
+    : g_(&g) {
   LINALG_REQUIRE(g.rows() == f.size(), "CvEngine: rhs size mismatch");
-  LINALG_REQUIRE(g.cols() == prior.size(), "CvEngine: prior size mismatch");
-  const std::size_t k = g.rows(), m = g.cols();
+  LINALG_REQUIRE(kernel.b.rows() == g.rows() && kernel.b.cols() == g.rows() &&
+                     kernel.inv_q.size() == g.cols(),
+                 "CvEngine: kernel shape must match the design matrix");
+  const std::size_t k = g.rows();
   if (options.folds < 2 || k < options.folds)
     throw std::invalid_argument("CvEngine: need folds >= 2 and K >= folds");
-  BMF_EXPECTS_DIMS(check::all_finite(g) && check::all_finite(f),
-                   "CvEngine: design matrix and responses must be finite",
-                   {"g.rows", k}, {"g.cols", m});
-  BMF_EXPECTS_DIMS(check::all_positive(prior.precision_scale()),
-                   "CvEngine: prior variances must be positive and finite",
-                   {"prior.size", prior.size()});
+  BMF_EXPECTS_DIMS(check::all_finite(f),
+                   "CvEngine: responses must be finite", {"f.size", k});
   BMF_EXPECTS(check::is_finite(options.grid_lo_rel) &&
                   check::is_finite(options.grid_hi_rel) &&
                   options.grid_lo_rel > 0.0 && options.grid_hi_rel > 0.0,
               "CvEngine: tau grid bounds must be positive and finite");
-
-  inv_q_.resize(m);
-  for (std::size_t p = 0; p < m; ++p)
-    inv_q_[p] = 1.0 / prior.precision_scale()[p];
 
   const double center = tau_grid_center(f);
   taus_ = log_grid(center * options.grid_lo_rel, center * options.grid_hi_rel,
@@ -91,65 +86,37 @@ CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
   stats::Rng rng(options.seed);
   stats::KFold kfold(k, options.folds, rng);
   folds_.resize(options.folds);
-  // Folds are independent: each builds its own B, eigendecomposition and
-  // test-side projections into a preassigned folds_ slot.
+  // Folds are independent: each gathers its blocks of B, eigendecomposes
+  // its training block and projects the test side into a preassigned
+  // folds_ slot.
   parallel::parallel_for(0, options.folds, 1, [&](std::size_t f0,
                                                   std::size_t f1) {
-    for (std::size_t fi = f0; fi < f1; ++fi) build_fold(kfold, fi);
+    for (std::size_t fi = f0; fi < f1; ++fi)
+      build_fold(kfold, fi, f, kernel.b);
   });
 }
 
-void CvEngine::build_fold(const stats::KFold& kfold, std::size_t fi) {
-  const linalg::Matrix& g = *g_;
-  const linalg::Vector& f = *f_;
-  const std::size_t m = g.cols();
+void CvEngine::build_fold(const stats::KFold& kfold, std::size_t fi,
+                          const linalg::Vector& f, const linalg::Matrix& b) {
   Fold& fold = folds_[fi];
   auto split = kfold.split(fi);
   fold.train = std::move(split.train);
   fold.test = std::move(split.test);
-  const std::size_t kt = fold.train.size(), ke = fold.test.size();
+  const std::vector<std::size_t>& train = fold.train;
+  const std::size_t kt = train.size(), ke = fold.test.size();
 
   fold.f_test.resize(ke);
   for (std::size_t i = 0; i < ke; ++i) fold.f_test[i] = f[fold.test[i]];
-
-  // g_t = G_tr^T f_tr.
-  fold.gt_f.assign(m, 0.0);
-  for (std::size_t i = 0; i < kt; ++i)
-    accumulate_row(g, fold.train[i], f[fold.train[i]], fold.gt_f);
-
-  // B = G_tr diag(1/q) G_tr^T, built one scaled row at a time.
-  linalg::Matrix b(kt, kt);
-  linalg::Vector scaled(m);
-  for (std::size_t i = 0; i < kt; ++i) {
-    const double* gi = g.row_ptr(fold.train[i]);
-    for (std::size_t p = 0; p < m; ++p) scaled[p] = gi[p] * inv_q_[p];
-    for (std::size_t j = i; j < kt; ++j) {
-      const double v = row_dot(g, fold.train[j], scaled);
-      b(i, j) = v;
-      b(j, i) = v;
-    }
-  }
-
-  // b2 = B f_tr, then rotate into the eigenbasis.
   linalg::Vector f_tr(kt);
-  for (std::size_t i = 0; i < kt; ++i) f_tr[i] = f[fold.train[i]];
-  linalg::Vector b2 = linalg::gemv(b, f_tr);
+  for (std::size_t i = 0; i < kt; ++i) f_tr[i] = f[train[i]];
 
-  fold.eig = linalg::eigen_symmetric(b);
+  // B_tr = B[train, train] is a principal submatrix of the fit's kernel,
+  // and C = B[test, train] is rotated into B_tr's eigenbasis.
+  fold.eig = linalg::eigen_symmetric(submatrix(b, train, train));
   for (double& w : fold.eig.values) w = std::max(w, 0.0);  // PSD clamp
-  fold.vb2 = linalg::gemv_t(fold.eig.vectors, b2);
-
-  // a2 = G_te diag(1/q) g_t and C = G_te diag(1/q) G_tr^T.
-  fold.a2.resize(ke);
-  linalg::Matrix c(ke, kt);
-  for (std::size_t i = 0; i < ke; ++i) {
-    const double* gi = g.row_ptr(fold.test[i]);
-    for (std::size_t p = 0; p < m; ++p) scaled[p] = gi[p] * inv_q_[p];
-    fold.a2[i] = linalg::dot(scaled, fold.gt_f);
-    for (std::size_t j = 0; j < kt; ++j)
-      c(i, j) = row_dot(g, fold.train[j], scaled);
-  }
-  fold.c_hat = linalg::gemm(c, fold.eig.vectors);
+  fold.vf = linalg::gemv_t(fold.eig.vectors, f_tr);
+  fold.c_hat =
+      linalg::gemm(submatrix(b, fold.test, train), fold.eig.vectors);
 }
 
 CvCurve CvEngine::evaluate(const linalg::Vector& mu) const {
@@ -169,29 +136,29 @@ CvCurve CvEngine::evaluate(const linalg::Vector& mu) const {
   const std::size_t nf = folds_.size(), nt = taus_.size();
   curve.errors.assign(nt, 0.0);
 
-  // Per-fold projections of the prior mean: vb1 = V^T (G_tr mu), a1 = G_te
-  // mu. Independent across folds.
-  std::vector<linalg::Vector> vb1(nf), a1(nf);
+  // Per-fold residual projections r = V^T f_tr - V^T (G_tr mu) and test
+  // offsets a1 = G_te mu, from one product G mu. Independent across folds.
+  linalg::Vector gmu;
+  if (!mu_zero) gmu = linalg::gemv(*g_, mu);
+  std::vector<linalg::Vector> r(nf), a1(nf);
   parallel::parallel_for(0, nf, 1, [&](std::size_t f0, std::size_t f1) {
     for (std::size_t fi = f0; fi < f1; ++fi) {
       const Fold& fold = folds_[fi];
       const std::size_t kt = fold.train.size(), ke = fold.test.size();
-      vb1[fi].assign(kt, 0.0);
+      r[fi] = fold.vf;
       a1[fi].assign(ke, 0.0);
       if (mu_zero) continue;
       linalg::Vector b1(kt);
-      for (std::size_t i = 0; i < kt; ++i)
-        b1[i] = row_dot(*g_, fold.train[i], mu);
-      vb1[fi] = linalg::gemv_t(fold.eig.vectors, b1);
-      for (std::size_t i = 0; i < ke; ++i)
-        a1[fi][i] = row_dot(*g_, fold.test[i], mu);
+      for (std::size_t i = 0; i < kt; ++i) b1[i] = gmu[fold.train[i]];
+      linalg::axpy(-1.0, linalg::gemv_t(fold.eig.vectors, b1), r[fi]);
+      for (std::size_t i = 0; i < ke; ++i) a1[fi][i] = gmu[fold.test[i]];
     }
   });
 
   // Every (fold, tau) grid cell is independent given the cached fold data;
   // each writes its error into a preassigned slot, and the slots are
   // reduced in fold order afterwards — so the curve is bit-identical at any
-  // thread count. The s/pred scratch vectors are hoisted out of the cell
+  // thread count. The y/pred scratch vectors are hoisted out of the cell
   // loop into per-chunk buffers sized to the largest fold, so the grid loop
   // performs no per-cell allocations.
   std::size_t max_kt = 0, max_ke = 0;
@@ -201,22 +168,21 @@ CvCurve CvEngine::evaluate(const linalg::Vector& mu) const {
   }
   std::vector<double> cell(nf * nt, 0.0);
   parallel::parallel_for(0, nf * nt, 0, [&](std::size_t c0, std::size_t c1) {
-    linalg::Vector s(max_kt), pred(max_ke);
+    linalg::Vector y(max_kt), pred(max_ke);
     for (std::size_t c = c0; c < c1; ++c) {
       const std::size_t fi = c / nt, ti = c % nt;
       const Fold& fold = folds_[fi];
       const std::size_t kt = fold.train.size(), ke = fold.test.size();
-      const double inv_tau = 1.0 / taus_[ti];
-      s.resize(kt);    // never exceeds the reserved max -> no reallocation
+      const double tau = taus_[ti];
+      y.resize(kt);    // never exceeds the reserved max -> no reallocation
       pred.resize(ke);
       for (std::size_t i = 0; i < kt; ++i)
-        s[i] = (vb1[fi][i] + inv_tau * fold.vb2[i]) /
-               (1.0 + inv_tau * fold.eig.values[i]);
+        y[i] = r[fi][i] / (tau + fold.eig.values[i]);
       for (std::size_t i = 0; i < ke; ++i) {
         const double* ci = fold.c_hat.row_ptr(i);
-        double cs = 0.0;
-        for (std::size_t j = 0; j < kt; ++j) cs += ci[j] * s[j];
-        pred[i] = a1[fi][i] + inv_tau * (fold.a2[i] - cs);
+        double cy = 0.0;
+        for (std::size_t j = 0; j < kt; ++j) cy += ci[j] * y[j];
+        pred[i] = a1[fi][i] + cy;
       }
       cell[c] = stats::relative_error(pred, fold.f_test);
     }

@@ -3,13 +3,26 @@
 //
 // Naively, scanning an N_tau-point hyper-parameter grid with N folds costs
 // N * N_tau Woodbury solves, each O(K^2 M + K^3). This engine exploits the
-// structure of the problem: the fold's K x K capacitance matrix is
-// I + tau^{-1} B with B = G_train diag(1/(tau q)) ... more precisely
-// B = G_train diag(1/q) G_train^T *independent of tau*, and B is also
-// *identical for the zero-mean and nonzero-mean priors* (both use
-// q_m = 1/alpha_E,m^2, Section III-A). So per fold we build B once,
-// eigendecompose it once, and every (prior, tau) grid point afterwards
-// costs only O(K_train * (K_train + K_test)).
+// structure of the problem. The fit's kernel B = G diag(1/q) G^T (K x K,
+// see PriorKernel) is independent of tau and *identical for the zero-mean
+// and nonzero-mean priors* (both use q_m = 1/alpha_E,m^2, Section III-A),
+// and it is computed once per fit: a fold's training kernel
+// B_tr = B[train, train] is a principal submatrix of it and the
+// test-vs-train block C = B[test, train] another submatrix, so a fold only
+// gathers them. Per fold the engine eigendecomposes B_tr = V diag(w) V^T
+// once; every (prior, tau) grid point afterwards costs only
+// O(K_train * (K_train + K_test)).
+//
+// Each grid point predicts the held-out responses in kernel form:
+//
+//   y    = (V^T f_tr - V^T (G_tr mu)) ./ (tau + w)
+//   pred = G_te mu + (C V) y
+//
+// This is algebraically equal to predicting with the fold's Woodbury MAP
+// solution, but the Woodbury form subtracts two O(1/tau) terms, and at the
+// low end of the grid that cancellation is catastrophic: on the SRAM
+// testcase (seed 7, K = 500) its zero-mean curve read 0.147 at
+// tau = 1e-9 Var(f) where the kernel form reads the exact 0.0120.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +66,16 @@ struct CvCurve {
 class CvEngine {
  public:
   /// `g` (K x M) and `f` (K) are the late-stage training data; `prior`
-  /// supplies the precision scale q and the informative mask, which are
-  /// identical for the zero-mean and nonzero-mean priors — so one engine
-  /// serves both. `g` and `f` must outlive the engine.
+  /// supplies the precision scale q, which is identical for the zero-mean
+  /// and nonzero-mean priors — so one engine serves both. Builds the
+  /// PriorKernel of (g, prior) and delegates. `g` must outlive the engine.
   CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
            const CoefficientPrior& prior, const CvOptions& options);
+
+  /// Builds from the fit's precomputed `kernel`, which must be
+  /// PriorKernel(g, prior); it is only read during construction.
+  CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
+           const PriorKernel& kernel, const CvOptions& options);
 
   /// Evaluate the CV error over the tau grid for a prior with mean `mu`
   /// (pass an all-zero vector for the zero-mean prior — detected and
@@ -71,21 +89,18 @@ class CvEngine {
   struct Fold {
     std::vector<std::size_t> train;
     std::vector<std::size_t> test;
-    linalg::SymmetricEigen eig;   // of B = G_tr diag(1/q) G_tr^T
+    linalg::SymmetricEigen eig;   // of B_tr = B[train, train]
     linalg::Vector f_test;        // held-out responses
-    linalg::Vector gt_f;          // G_tr^T f_tr  (size M)
-    linalg::Vector vb2;           // V^T (B f_tr)  (size K_tr)
-    linalg::Vector a2;            // G_te diag(1/q) gt_f (size K_te)
-    linalg::Matrix c_hat;         // (G_te diag(1/q) G_tr^T) V (K_te x K_tr)
+    linalg::Vector vf;            // V^T f_tr  (size K_tr)
+    linalg::Matrix c_hat;         // B[test, train] V  (K_te x K_tr)
   };
 
   /// Build the cached quantities of fold `fi` into folds_[fi]. Called from
   /// a parallel loop in the constructor — folds are fully independent.
-  void build_fold(const stats::KFold& kfold, std::size_t fi);
+  void build_fold(const stats::KFold& kfold, std::size_t fi,
+                  const linalg::Vector& f, const linalg::Matrix& b);
 
   const linalg::Matrix* g_;
-  const linalg::Vector* f_;
-  linalg::Vector inv_q_;  // 1/q, size M
   linalg::Vector taus_;
   std::vector<Fold> folds_;
 };

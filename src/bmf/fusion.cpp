@@ -76,6 +76,7 @@ void BmfFitter::set_design(linalg::Matrix g, linalg::Vector f) {
   g_ = std::move(g);
   f_ = std::move(f);
   has_data_ = true;
+  kernel_.reset();
   engine_.reset();
   zm_curve_.reset();
   nzm_curve_.reset();
@@ -88,10 +89,15 @@ void BmfFitter::require_data() const {
     throw std::logic_error("BmfFitter: call set_data/set_design first");
 }
 
+const PriorKernel& BmfFitter::kernel() const {
+  if (!kernel_) kernel_.emplace(g_, zm_prior_);
+  return *kernel_;
+}
+
 CvEngine& BmfFitter::engine() {
   require_data();
   if (!engine_)
-    engine_ = std::make_unique<CvEngine>(g_, f_, zm_prior_, options_.cv);
+    engine_ = std::make_unique<CvEngine>(g_, f_, kernel(), options_.cv);
   return *engine_;
 }
 
@@ -112,9 +118,10 @@ const CoefficientPrior& BmfFitter::prior_for(PriorKind kind) const {
 const MapSolverWorkspace& BmfFitter::workspace() const {
   if (!workspace_) {
     // The ZM and NZM priors share the precision scale q, so the workspace is
-    // built from the ZM prior (mean zero) and the NZM mean is projected once
-    // and cached alongside.
-    workspace_ = std::make_unique<MapSolverWorkspace>(g_, f_, zm_prior_);
+    // built from the fit's kernel with the ZM mean (zero) and the NZM mean is
+    // projected once and cached alongside.
+    workspace_ = std::make_unique<MapSolverWorkspace>(g_, f_, kernel(),
+                                                      zm_prior_.mean());
     nzm_mean_ = workspace_->project_mean(nzm_prior_.mean());
   }
   return *workspace_;

@@ -12,12 +12,14 @@
 //   4. solves the MAP estimate with the fast Woodbury solver (Section IV-C)
 //      or the direct Cholesky solver.
 //
-// The CV engine — the expensive part — is built lazily and shared between
-// the two priors. When the fast solver is selected (the default), the MAP
-// solves likewise share one lazily-built MapSolverWorkspace: the ZM and NZM
-// priors use the same precision scale q, so one tau-independent kernel
-// serves every fit_at(kind, tau) query and the final fit at O(K^2 + K M)
-// per solve.
+// The ZM and NZM priors share the precision scale q, so one lazily-built
+// PriorKernel B = G diag(1/q) G^T (K x K) serves the whole fit: the CV
+// engine — built lazily and shared between the two priors — gathers every
+// fold's blocks from it, and when the fast solver is selected (the
+// default) the MAP solves share one lazily-built MapSolverWorkspace that
+// eigendecomposes the same B. Every fit_at(kind, tau) query and the final
+// fit then cost O(K^2 + K M) per solve, and B is computed once per
+// design matrix.
 #pragma once
 
 #include <memory>
@@ -90,6 +92,8 @@ class BmfFitter {
  private:
   const CoefficientPrior& prior_for(PriorKind kind) const;
   void require_data() const;
+  /// Lazily-built kernel of (g_, q); shared by the engine and workspace.
+  const PriorKernel& kernel() const;
   CvEngine& engine();
   /// Lazily-built amortized solver over (g_, f_, q); shared by both priors.
   const MapSolverWorkspace& workspace() const;
@@ -101,6 +105,9 @@ class BmfFitter {
   linalg::Matrix g_;
   linalg::Vector f_;
   bool has_data_ = false;
+  // The fit's kernel, built on first use by the engine or the workspace
+  // (mutable: fit_at is logically const — the cache only changes cost).
+  mutable std::optional<PriorKernel> kernel_;
   std::unique_ptr<CvEngine> engine_;
   std::optional<CvCurve> zm_curve_;
   std::optional<CvCurve> nzm_curve_;

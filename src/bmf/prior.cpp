@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "check/contracts.hpp"
+#include "linalg/blas.hpp"
 
 namespace bmf::core {
 
@@ -148,6 +149,22 @@ double CoefficientPrior::density(std::size_t m, double a) const {
   const double z = (a - mean_[m]) / s;
   return std::exp(-0.5 * z * z) /
          (s * std::sqrt(2.0 * std::numbers::pi));
+}
+
+PriorKernel::PriorKernel(const linalg::Matrix& g,
+                         const CoefficientPrior& prior) {
+  LINALG_REQUIRE(g.cols() == prior.size(),
+                 "PriorKernel: prior size must match basis count");
+  BMF_EXPECTS_DIMS(check::all_finite(g),
+                   "PriorKernel: design matrix must be finite",
+                   {"g.rows", g.rows()}, {"g.cols", g.cols()});
+  BMF_EXPECTS_DIMS(check::all_positive(prior.precision_scale()),
+                   "PriorKernel: prior variances must be positive and finite",
+                   {"prior.size", prior.size()});
+  const linalg::Vector& q = prior.precision_scale();
+  inv_q.resize(q.size());
+  for (std::size_t p = 0; p < q.size(); ++p) inv_q[p] = 1.0 / q[p];
+  b = linalg::outer_gram_weighted(g, inv_q);
 }
 
 }  // namespace bmf::core

@@ -121,4 +121,16 @@ class CoefficientPrior {
   std::vector<char> informative_;
 };
 
+/// The prior-weighted kernel of one design matrix G (K x M):
+/// D^{-1} = diag(1/q) and B = G D^{-1} G^T (K x K). B depends on neither
+/// tau nor the prior mean, and the zero-mean and nonzero-mean priors share
+/// q, so one kernel per fit serves the CV engine (every fold's matrices are
+/// submatrices of B) and the MAP workspace. Cost: O(K^2 M).
+struct PriorKernel {
+  PriorKernel(const linalg::Matrix& g, const CoefficientPrior& prior);
+
+  linalg::Vector inv_q;  // D^{-1} diagonal (M)
+  linalg::Matrix b;      // G D^{-1} G^T (K x K), exactly symmetric
+};
+
 }  // namespace bmf::core

@@ -11,28 +11,26 @@ namespace bmf::core {
 MapSolverWorkspace::MapSolverWorkspace(const linalg::Matrix& g,
                                        const linalg::Vector& f,
                                        const CoefficientPrior& prior)
-    : g_(&g) {
+    : MapSolverWorkspace(g, f, PriorKernel(g, prior), prior.mean()) {}
+
+MapSolverWorkspace::MapSolverWorkspace(const linalg::Matrix& g,
+                                       const linalg::Vector& f,
+                                       const PriorKernel& kernel,
+                                       const linalg::Vector& mean)
+    : g_(&g), inv_q_(kernel.inv_q) {
   LINALG_REQUIRE(g.rows() == f.size(),
                  "MapSolverWorkspace: rhs size mismatch");
-  LINALG_REQUIRE(g.cols() == prior.size(),
-                 "MapSolverWorkspace: prior size must match basis count");
-  BMF_EXPECTS_DIMS(check::all_finite(g) && check::all_finite(f),
-                   "MapSolverWorkspace: design matrix and responses must be "
-                   "finite",
-                   {"g.rows", g.rows()}, {"g.cols", g.cols()});
-  BMF_EXPECTS_DIMS(check::all_positive(prior.precision_scale()),
-                   "MapSolverWorkspace: prior variances must be positive and "
-                   "finite",
-                   {"prior.size", prior.size()});
-  const std::size_t m = g.cols();
-  const linalg::Vector& q = prior.precision_scale();
-  inv_q_.resize(m);
-  for (std::size_t p = 0; p < m; ++p) inv_q_[p] = 1.0 / q[p];
+  LINALG_REQUIRE(kernel.b.rows() == g.rows() && kernel.b.cols() == g.rows() &&
+                     kernel.inv_q.size() == g.cols(),
+                 "MapSolverWorkspace: kernel shape must match the design "
+                 "matrix");
+  BMF_EXPECTS_DIMS(check::all_finite(f),
+                   "MapSolverWorkspace: responses must be finite",
+                   {"f.size", f.size()});
 
-  // Kernel B = G D^{-1} G^T and its eigendecomposition — the only
-  // super-quadratic work; everything tau-dependent happens in the
-  // eigenbasis afterwards.
-  eig_ = linalg::eigen_symmetric(linalg::outer_gram_weighted(g, inv_q_));
+  // Eigendecomposition of the kernel — the only super-quadratic work left;
+  // everything tau-dependent happens in the eigenbasis afterwards.
+  eig_ = linalg::eigen_symmetric(kernel.b);
   // PSD clamp with telemetry: record how far below zero the spectrum dipped
   // and how many eigenvalues were beyond roundoff-sized (tol relative to
   // the spectral radius), so callers can surface a degradation diagnostic.
@@ -49,13 +47,8 @@ MapSolverWorkspace::MapSolverWorkspace(const linalg::Matrix& g,
     w = std::max(w, 0.0);
   }
 
-  // u0 = D^{-1} G^T f and vb2 = V^T (B f) = V^T (G u0).
-  linalg::Vector gt_f = linalg::gemv_t(g, f);
-  u0_.resize(m);
-  for (std::size_t p = 0; p < m; ++p) u0_[p] = inv_q_[p] * gt_f[p];
-  vb2_ = linalg::gemv_t(eig_.vectors, linalg::gemv(g, u0_));
-
-  own_mean_ = project_mean(prior.mean());
+  vf_ = linalg::gemv_t(eig_.vectors, f);
+  own_mean_ = project_mean(mean);
 }
 
 MapSolverWorkspace::ProjectedMean MapSolverWorkspace::project_mean(
@@ -93,25 +86,17 @@ linalg::Vector MapSolverWorkspace::solve(double tau,
     throw std::invalid_argument("MapSolverWorkspace: tau must be positive");
   BMF_EXPECTS(check::is_finite(tau), "MapSolverWorkspace: tau must be finite");
   const std::size_t k = num_samples(), m = num_bases();
-  const double inv_tau = 1.0 / tau;
 
-  // Capacitance solve in the eigenbasis:
-  //   s = (I + B/tau)^{-1} (G mu + B f / tau)  via  V diag(1/(1 + w/tau)) V^T.
-  linalg::Vector s(k);
+  // Kernel form: y = V^T (f - G mu) ./ (tau + w), alpha = mu + D^{-1} G^T V y.
+  linalg::Vector y(k);
   const bool has_mean = !mean.vb1.empty();
-  for (std::size_t i = 0; i < k; ++i) {
-    const double rhs = (has_mean ? mean.vb1[i] : 0.0) + inv_tau * vb2_[i];
-    s[i] = rhs / (1.0 + inv_tau * eig_.values[i]);
-  }
-  linalg::Vector t = linalg::gemv(eig_.vectors, s);
-
-  // alpha = mu + (u0 - D^{-1} G^T t) / tau.
-  linalg::Vector gt = linalg::gemv_t(*g_, t);
+  for (std::size_t i = 0; i < k; ++i)
+    y[i] = (vf_[i] - (has_mean ? mean.vb1[i] : 0.0)) /
+           (tau + eig_.values[i]);
+  const linalg::Vector gt = linalg::gemv_t(*g_, linalg::gemv(eig_.vectors, y));
   linalg::Vector x(m);
-  for (std::size_t p = 0; p < m; ++p) {
-    const double mu_p = mean.mu.empty() ? 0.0 : mean.mu[p];
-    x[p] = mu_p + inv_tau * (u0_[p] - inv_q_[p] * gt[p]);
-  }
+  for (std::size_t p = 0; p < m; ++p)
+    x[p] = (mean.mu.empty() ? 0.0 : mean.mu[p]) + inv_q_[p] * gt[p];
   BMF_ENSURES_DIMS(check::all_finite(x),
                    "MapSolverWorkspace::solve produced non-finite "
                    "coefficients",

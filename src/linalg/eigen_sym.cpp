@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "check/contracts.hpp"
+#include "linalg/kernels/kernels.hpp"
 
 namespace bmf::linalg {
 
@@ -14,73 +15,84 @@ namespace {
 // sqrt(a^2 + b^2) without destructive underflow/overflow.
 double hypot2(double a, double b) { return std::hypot(a, b); }
 
-// Householder reduction of symmetric `a` (modified in place to hold the
-// accumulated orthogonal transform) to tridiagonal form (d = diagonal,
-// e = subdiagonal with e[0] unused). Follows the classic tred2 scheme.
+// Householder reduction of the fully symmetric `a` to tridiagonal form
+// (d = diagonal, e = subdiagonal with e[0] unused), following the classic
+// tred2 scheme. On return `a` holds the TRANSPOSED accumulated orthogonal
+// transform: row j of `a` is column j of Q, so the QL sweep below can
+// rotate contiguous rows.
+//
+// Every O(n^3) loop walks contiguous rows through the active SIMD kernels:
+// the active block a[0..l][0..l] is kept fully symmetric (both triangles
+// are updated), so the Householder mat-vec is one dot per row and the
+// rank-2 update two axpys per row. Q^T accumulates the same way: row j of
+// Q^T (I - u u^T / h) is a dot and an axpy against the stored u. Each
+// kernel's accumulation order depends only on the shape, so the result is
+// deterministic within a SIMD level.
 void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
   const std::size_t n = a.rows();
+  const kernels::KernelTable& kt = kernels::active();
   d.assign(n, 0.0);
   e.assign(n, 0.0);
-  for (std::size_t ii = n; ii-- > 1;) {
-    const std::size_t i = ii;
+  for (std::size_t i = n; i-- > 1;) {
     const std::size_t l = i - 1;
-    double h = 0.0, scale = 0.0;
+    double* u = a.row_ptr(i);  // becomes the Householder vector (0..l)
+    double h = 0.0;
     if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(a(i, k));
+      double scale = 0.0;
+      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(u[k]);
       if (scale == 0.0) {
-        e[i] = a(i, l);
+        e[i] = u[l];
       } else {
         for (std::size_t k = 0; k <= l; ++k) {
-          a(i, k) /= scale;
-          h += a(i, k) * a(i, k);
+          u[k] /= scale;
+          h += u[k] * u[k];
         }
-        double f = a(i, l);
-        double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
+        double f = u[l];
+        const double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        a(i, l) = f - g;
+        u[l] = f - g;
+        // p = A u / h (into e[0..l]) and K = u^T p / 2h.
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
-          a(j, i) = a(i, j) / h;  // store u/H for eigenvector accumulation
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
-          e[j] = g / h;
-          f += e[j] * a(i, j);
+          e[j] = kt.dot(a.row_ptr(j), u, l + 1) / h;
+          f += e[j] * u[j];
         }
         const double hh = f / (h + h);
+        // q = p - K u, then A -= q u^T + u q^T row by row.
+        for (std::size_t j = 0; j <= l; ++j) e[j] -= hh * u[j];
         for (std::size_t j = 0; j <= l; ++j) {
-          f = a(i, j);
-          e[j] = g = e[j] - hh * f;
-          for (std::size_t k = 0; k <= j; ++k)
-            a(j, k) -= f * e[k] + g * a(i, k);
+          double* aj = a.row_ptr(j);
+          kt.axpy(-u[j], e.data(), aj, l + 1);
+          kt.axpy(-e[j], u, aj, l + 1);
         }
       }
     } else {
-      e[i] = a(i, l);
+      e[i] = u[l];
     }
     d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
-  // Accumulate transformation matrix into `a`.
+  // Accumulate Q^T into the leading block: at step i, rows 0..i-1 hold the
+  // transform so far and row i holds step i's Householder vector u.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t l = i;  // columns 0..i-1 are finalized
+    const double* u = a.row_ptr(i);
     if (d[i] != 0.0) {
-      for (std::size_t j = 0; j < l; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k < l; ++k) g += a(i, k) * a(k, j);
-        for (std::size_t k = 0; k < l; ++k) a(k, j) -= g * a(k, i);
+      for (std::size_t j = 0; j < i; ++j) {
+        double* zj = a.row_ptr(j);
+        kt.axpy(-kt.dot(zj, u, i) / d[i], u, zj, i);
       }
     }
     d[i] = a(i, i);
     a(i, i) = 1.0;
-    for (std::size_t j = 0; j < l; ++j) a(j, i) = a(i, j) = 0.0;
+    for (std::size_t j = 0; j < i; ++j) a(j, i) = a(i, j) = 0.0;
   }
 }
 
-// Implicit-shift QL on the tridiagonal (d, e), rotating the columns of z.
-void ql_implicit(Vector& d, Vector& e, Matrix& z) {
+// Implicit-shift QL on the tridiagonal (d, e). Each plane rotation acts on
+// two contiguous rows of zt = Q^T, i.e. on two eigenvector columns.
+void ql_implicit(Vector& d, Vector& e, Matrix& zt) {
   const std::size_t n = d.size();
   if (n == 0) return;
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
@@ -119,10 +131,12 @@ void ql_implicit(Vector& d, Vector& e, Matrix& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          double* __restrict zi = zt.row_ptr(i);
+          double* __restrict zi1 = zt.row_ptr(i + 1);
           for (std::size_t k = 0; k < n; ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
+            const double t = zi1[k];
+            zi1[k] = s * zi[k] + c * t;
+            zi[k] = c * zi[k] - s * t;
           }
         }
         if (r == 0.0 && m - l > 1) continue;
@@ -147,14 +161,15 @@ SymmetricEigen eigen_symmetric(const Matrix& a) {
   SymmetricEigen out;
   const std::size_t n = a.rows();
   if (n == 0) return out;
-  // Work on a symmetrized copy (only the lower triangle is trusted).
+  // Work on a symmetrized copy (only the lower triangle is trusted); it
+  // ends up holding the eigenvectors as rows.
   Matrix z = a;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j) z(i, j) = z(j, i);
   Vector d, e;
   tridiagonalize(z, d, e);
   ql_implicit(d, e, z);
-  // Sort ascending, permuting eigenvector columns to match.
+  // Sort ascending; eigenvector order[j] (row of z) becomes column j.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
@@ -163,7 +178,8 @@ SymmetricEigen eigen_symmetric(const Matrix& a) {
   out.vectors.assign(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
+    const double* v = z.row_ptr(order[j]);
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = v[i];
   }
   BMF_ENSURES_DIMS(check::is_ascending(out.values) &&
                        check::all_finite(out.values) &&

@@ -1,10 +1,16 @@
 // Symmetric eigendecomposition A = V diag(w) V^T.
 //
 // Classic two-phase dense algorithm: Householder reduction to tridiagonal
-// form followed by the implicit-shift QL iteration, accumulating the
-// orthogonal transform. Used by the BMF cross-validation engine so that the
-// per-fold K x K capacitance matrix (I + tau^{-1} B) can be inverted for an
-// entire hyper-parameter grid at O(K^2) per grid point instead of O(K^3).
+// form (tred2) followed by the implicit-shift QL iteration, accumulating the
+// orthogonal transform. Every O(n^3) loop walks contiguous rows: the
+// reduction keeps a fully symmetric working block so its mat-vec and rank-2
+// update are per-row dot/axpy calls into the active SIMD kernel table, and
+// the transform is accumulated transposed so each QL rotation acts on two
+// contiguous rows. Serial; deterministic within a SIMD level.
+//
+// Used by the BMF cross-validation engine and MAP workspace so that the
+// K x K kernel solve (tau I + B)^{-1} can be applied for an entire
+// hyper-parameter grid at O(K^2) per grid point instead of O(K^3).
 #pragma once
 
 #include "linalg/matrix.hpp"

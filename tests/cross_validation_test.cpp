@@ -6,6 +6,7 @@
 
 #include "bmf/map_solver.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/cholesky.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/kfold.hpp"
 #include "stats/rng.hpp"
@@ -128,6 +129,72 @@ TEST_P(CvEngineVsBruteForce, CurvesAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Priors, CvEngineVsBruteForce,
+                         ::testing::Values(PriorKind::kZeroMean,
+                                           PriorKind::kNonzeroMean));
+
+// The tau -> 0 limit of the CV error: each fold predicts its held-out rows
+// with G_te mu + C B_tr^{-1} (f_tr - G_tr mu), where B_tr = G_tr D^{-1}
+// G_tr^T and C = G_te D^{-1} G_tr^T, with B_tr solved by Cholesky.
+double cv_error_tau_to_zero(const linalg::Matrix& g, const linalg::Vector& f,
+                            const CoefficientPrior& prior, std::size_t folds,
+                            std::uint64_t seed) {
+  // Rows of G D^{-1/2}: the kernel blocks are their inner products.
+  linalg::Matrix gs = g;
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    for (std::size_t p = 0; p < g.cols(); ++p)
+      gs(i, p) /= std::sqrt(prior.precision_scale()[p]);
+  const linalg::Vector g_mu = linalg::gemv(g, prior.mean());
+  auto rows = [](const linalg::Matrix& a, const std::vector<std::size_t>& idx) {
+    linalg::Matrix out(idx.size(), a.cols());
+    for (std::size_t i = 0; i < idx.size(); ++i) out.set_row(i, a.row(idx[i]));
+    return out;
+  };
+  stats::Rng rng(seed);
+  stats::KFold kf(g.rows(), folds, rng);
+  double total = 0.0;
+  for (std::size_t fi = 0; fi < folds; ++fi) {
+    auto split = kf.split(fi);
+    const linalg::Matrix gs_tr = rows(gs, split.train);
+    linalg::Vector resid(split.train.size());
+    for (std::size_t i = 0; i < resid.size(); ++i)
+      resid[i] = f[split.train[i]] - g_mu[split.train[i]];
+    const linalg::Vector y =
+        linalg::Cholesky(linalg::gemm_nt(gs_tr, gs_tr)).solve(resid);
+    const linalg::Vector cy =
+        linalg::gemv(linalg::gemm_nt(rows(gs, split.test), gs_tr), y);
+    linalg::Vector pred(split.test.size()), fe(split.test.size());
+    for (std::size_t i = 0; i < pred.size(); ++i) {
+      pred[i] = g_mu[split.test[i]] + cy[i];
+      fe[i] = f[split.test[i]];
+    }
+    total += stats::relative_error(pred, fe);
+  }
+  return total / static_cast<double>(folds);
+}
+
+class CvEngineLowTau : public ::testing::TestWithParam<PriorKind> {};
+
+TEST_P(CvEngineLowTau, SmallestTauMatchesInterpolationLimit) {
+  // Regression: the engine used to predict with (a2 - C s) / tau, whose two
+  // O(1/tau) terms cancel catastrophically at the low end of the grid (it
+  // missed the limit by 1.2e-4 (ZM) and 2.5e-3 (NZM) relative here). At
+  // tau_min = 1e-12 Var(f) the curve must sit on the tau -> 0 limit; the
+  // gap tau_min / w_min(B_tr) is ~1e-12.
+  stats::Rng rng(2024);
+  Problem p = make_problem(40, 120, 0.1, rng);
+  auto prior = GetParam() == PriorKind::kZeroMean
+                   ? CoefficientPrior::zero_mean(p.early)
+                   : CoefficientPrior::nonzero_mean(p.early);
+  CvOptions opt;
+  opt.grid_lo_rel = 1e-12;
+  CvEngine engine(p.g, p.f, prior, opt);
+  const CvCurve curve = engine.evaluate(prior.mean());
+  const double limit =
+      cv_error_tau_to_zero(p.g, p.f, prior, opt.folds, opt.seed);
+  EXPECT_NEAR(curve.errors.front(), limit, 1e-8 * limit);
+}
+
+INSTANTIATE_TEST_SUITE_P(Priors, CvEngineLowTau,
                          ::testing::Values(PriorKind::kZeroMean,
                                            PriorKind::kNonzeroMean));
 

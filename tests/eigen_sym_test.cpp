@@ -77,6 +77,71 @@ TEST_P(EigenSymRandom, ReconstructsAndOrthonormal) {
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenSymRandom,
                          ::testing::Values(2, 3, 5, 8, 13, 21, 34, 55, 89));
 
+// The full output contract — ascending values, orthonormal vectors,
+// reconstruction and trace — with every tolerance relative to the matrix's
+// own norm, so a kernel at the 1e-17 scale of the SRAM fit is held to the
+// same standard as a unit-scale one.
+void expect_valid_decomposition(const Matrix& a, const SymmetricEigen& e) {
+  const std::size_t n = a.rows();
+  EXPECT_TRUE(std::is_sorted(e.values.begin(), e.values.end()));
+  EXPECT_LT(max_abs_diff(gemm_tn(e.vectors, e.vectors), Matrix::identity(n)),
+            1e-9);
+  Matrix vd = e.vectors;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) vd(i, j) *= e.values[j];
+  const double norm = frobenius_norm(a);
+  EXPECT_LT(max_abs_diff(gemm_nt(vd, e.vectors), a) / norm, 1e-10);
+  double tr_a = 0.0, sum_w = 0.0;
+  for (std::size_t i = 0; i < n; ++i) tr_a += a(i, i);
+  for (double w : e.values) sum_w += w;
+  EXPECT_NEAR(tr_a, sum_w, 1e-10 * norm);
+}
+
+// Decomposes `a`, then s * a with s chosen so the largest eigenvalue is
+// 3e-17 (the SRAM fit's kernel scale): both must satisfy the contract, and
+// eig(s a) must equal s eig(a) to 1e-12 of the spectral radius.
+void expect_decomposition_and_scale_equivariance(const Matrix& a) {
+  const SymmetricEigen e = eigen_symmetric(a);
+  expect_valid_decomposition(a, e);
+  const double s = 3e-17 / e.values.back();
+  Matrix scaled = a;
+  scaled *= s;
+  const SymmetricEigen es = eigen_symmetric(scaled);
+  expect_valid_decomposition(scaled, es);
+  ASSERT_EQ(es.values.size(), e.values.size());
+  for (std::size_t i = 0; i < e.values.size(); ++i)
+    EXPECT_NEAR(es.values[i], s * e.values[i], 1e-12 * 3e-17) << "i=" << i;
+}
+
+// The shapes a BMF-PS fit decomposes on the SRAM benchmark: 400 x 400 fold
+// kernels and the 500 x 500 full-data kernel.
+class EigenSymFitShapes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EigenSymFitShapes, RandomPsd) {
+  const std::size_t n = GetParam();
+  stats::Rng rng(2000 + n);
+  Matrix b(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.normal();
+  expect_decomposition_and_scale_equivariance(gemm_nt(b, b));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, EigenSymFitShapes,
+                         ::testing::Values(400, 500));
+
+TEST(EigenSym, FitShapedKernel) {
+  // B = G diag(d) G^T for 400 samples of 1200 bases, prior weights d spread
+  // over six decades as the early-coefficient magnitudes are.
+  stats::Rng rng(3001);
+  const std::size_t k = 400, m = 1200;
+  Matrix g(k, m);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < m; ++j) g(i, j) = rng.normal();
+  Vector d(m);
+  for (double& v : d) v = std::pow(10.0, -6.0 * rng.uniform());
+  expect_decomposition_and_scale_equivariance(outer_gram_weighted(g, d));
+}
+
 TEST(EigenSym, PsdMatrixHasNonnegativeEigenvalues) {
   stats::Rng rng(77);
   const std::size_t n = 20;

@@ -12,6 +12,7 @@
 
 #include "basis/basis_set.hpp"
 #include "bmf/cross_validation.hpp"
+#include "bmf/fusion.hpp"
 #include "bmf/prior.hpp"
 #include "bmf/solver_workspace.hpp"
 #include "circuit/virtual_silicon.hpp"
@@ -305,6 +306,53 @@ TEST(BitIdentity, CrossValidationCurveMatchesSerial) {
     ASSERT_EQ(par.taus[i], serial.taus[i]) << i;
     ASSERT_EQ(par.errors[i], serial.errors[i]) << i;
   }
+}
+
+TEST(BitIdentity, WholeFitMatchesSerial) {
+  // BMF-PS end to end: one kernel per fit feeds the CV engine's folds and
+  // then the MAP workspace. K * M is above the parallel flop cutoff, so the
+  // 4-thread run splits the kernel, gemv and gemm row ranges.
+  stats::Rng rng(8080);
+  const std::size_t k = 120, m = 600;
+  const linalg::Matrix g = random_matrix(k, m, rng);
+  linalg::Vector early(m), f(k);
+  for (double& e : early) e = rng.normal();
+  for (std::size_t i = 0; i < k; ++i) {
+    double v = 0.0;
+    for (std::size_t j = 0; j < m; ++j) v += early[j] * g(i, j);
+    f[i] = v + rng.normal(0.0, 0.1);
+  }
+  const basis::BasisSet basis = basis::BasisSet::total_degree(1, m - 1);
+
+  struct Fit {
+    core::FusionResult result;
+    linalg::Vector at_lo, at_hi;
+  };
+  auto run = [&] {
+    core::BmfFitter fitter(basis, early);
+    fitter.set_design(g, f);
+    Fit out{fitter.fit(core::PriorSelection::kAuto), {}, {}};
+    out.at_lo = fitter.fit_at(core::PriorKind::kZeroMean, 1e-3).coefficients();
+    out.at_hi =
+        fitter.fit_at(core::PriorKind::kNonzeroMean, 10.0).coefficients();
+    return out;
+  };
+  Fit serial;
+  {
+    ScopedThreads threads(1);
+    serial = run();
+  }
+  ScopedThreads threads(4);
+  const Fit par = run();
+  EXPECT_EQ(par.result.model.coefficients(),
+            serial.result.model.coefficients());
+  ASSERT_TRUE(par.result.report.zm_curve && par.result.report.nzm_curve);
+  EXPECT_EQ(par.result.report.zm_curve->errors,
+            serial.result.report.zm_curve->errors);
+  EXPECT_EQ(par.result.report.nzm_curve->errors,
+            serial.result.report.nzm_curve->errors);
+  EXPECT_EQ(par.at_lo, serial.at_lo);
+  EXPECT_EQ(par.at_hi, serial.at_hi);
 }
 
 }  // namespace

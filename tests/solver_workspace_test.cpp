@@ -6,6 +6,7 @@
 #include "bmf/fusion.hpp"
 #include "bmf/map_solver.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/cholesky.hpp"
 #include "stats/rng.hpp"
 
 namespace bmf::core {
@@ -79,6 +80,44 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(8, 40, 120),
                        ::testing::Values(PriorKind::kZeroMean,
                                          PriorKind::kNonzeroMean)));
+
+class WorkspaceLowTau : public ::testing::TestWithParam<PriorKind> {};
+
+TEST_P(WorkspaceLowTau, SmallTauMatchesInterpolationLimit) {
+  // Regression: solve() used to form mu + (D^{-1} G^T f - D^{-1} G^T t) / tau,
+  // whose two O(1/tau) terms cancel catastrophically as tau -> 0 (it missed
+  // by 1.9e-3 (ZM) and 3.5e-3 (NZM) of max|alpha| here). At
+  // tau = 1e-12 Var(f) the solution must sit on the tau -> 0 limit
+  // mu + D^{-1} G^T B^{-1} (f - G mu), B = G D^{-1} G^T (solved by
+  // Cholesky); the gap tau / w_min(B) is ~1e-12.
+  stats::Rng rng(2024);
+  Problem p = make_problem(40, 120, rng);
+  auto prior = GetParam() == PriorKind::kZeroMean
+                   ? CoefficientPrior::zero_mean(p.early)
+                   : CoefficientPrior::nonzero_mean(p.early);
+  const linalg::Vector& q = prior.precision_scale();
+  const linalg::Vector& mu = prior.mean();
+  linalg::Vector inv_q(q.size());
+  for (std::size_t j = 0; j < q.size(); ++j) inv_q[j] = 1.0 / q[j];
+  const linalg::Vector resid = linalg::sub(p.f, linalg::gemv(p.g, mu));
+  const linalg::Vector gt_y = linalg::gemv_t(
+      p.g,
+      linalg::Cholesky(linalg::outer_gram_weighted(p.g, inv_q)).solve(resid));
+  linalg::Vector limit(mu.size());
+  for (std::size_t j = 0; j < limit.size(); ++j)
+    limit[j] = mu[j] + inv_q[j] * gt_y[j];
+
+  MapSolverWorkspace ws(p.g, p.f, prior);
+  const linalg::Vector a = ws.solve(1e-12 * tau_grid_center(p.f));
+  ASSERT_EQ(a.size(), limit.size());
+  const double tol = 1e-8 * linalg::norm_inf(limit);
+  for (std::size_t j = 0; j < a.size(); ++j)
+    EXPECT_NEAR(a[j], limit[j], tol) << "j=" << j;
+}
+
+INSTANTIATE_TEST_SUITE_P(Priors, WorkspaceLowTau,
+                         ::testing::Values(PriorKind::kZeroMean,
+                                           PriorKind::kNonzeroMean));
 
 TEST(SolverWorkspace, MissingPriorEntriesMatchDirect) {
   // Flat-prior (missing) columns get a wide variance in q; the workspace
