@@ -1,22 +1,22 @@
 #!/usr/bin/env sh
-# Machine-readable perf trajectory for the MAP solvers and the serving
-# daemon.
+# Machine-readable perf trajectory for the MAP solvers and basis
+# evaluation. The serving stack is measured by perfbench/ (serve_routed,
+# serve_bulk), which records repetitions and spread.
 #
 # Configures + builds the benchmarks in Release mode, verifies the resolved
 # build type (benchmarking a Debug build silently produces garbage numbers),
-# then runs the solver-scaling ablation, the basis-evaluation throughput
-# bench, and the serving throughput bench with JSON output so successive
-# PRs can diff wall-clock numbers. After each microbench run the produced
-# JSON is checked for "library_build_type": "release" — the harness
+# then runs the solver-scaling ablation and the basis-evaluation throughput
+# bench with JSON output so successive PRs can diff wall-clock numbers.
+# After each microbench run the produced JSON is checked for
+# "library_build_type": "release" — the harness
 # (bench/microbench) reports its own compiled build type, so a debug-built
 # harness can never slip its numbers into the record. Usage:
 #
 #   bench/run_bench.sh [build-dir] [extra benchmark args...]
 #
-# Writes <build-dir>/BENCH_solver.json, <build-dir>/BENCH_basis.json and
-# <build-dir>/BENCH_serve.json (default build dir: ./build). Extra
-# arguments apply to the solver bench only. Thread count is controlled by
-# BMF_NUM_THREADS (default: all cores).
+# Writes <build-dir>/BENCH_solver.json and <build-dir>/BENCH_basis.json
+# (default build dir: ./build). Extra arguments apply to the solver bench
+# only. Thread count is controlled by BMF_NUM_THREADS (default: all cores).
 set -eu
 
 src_dir="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
@@ -47,7 +47,7 @@ if [ "$build_type" != "Release" ]; then
 fi
 
 cmake --build "$build_dir" -j --target ablation_solver_scaling \
-      basis_throughput serve_throughput >/dev/null
+      basis_throughput >/dev/null
 
 # The microbench harness records the build type it was itself compiled
 # with; refuse to keep numbers from anything but a release harness.
@@ -83,10 +83,3 @@ basis_out="$build_dir/BENCH_basis.json"
              --benchmark_context=bmf_build_type="$build_type"
 require_release_harness "$basis_out"
 echo "wrote $basis_out"
-
-serve_bin="$build_dir/bench/serve_throughput"
-if [ ! -x "$serve_bin" ]; then
-  echo "error: $serve_bin not found after build" >&2
-  exit 1
-fi
-"$serve_bin" --router --out "$build_dir/BENCH_serve.json"

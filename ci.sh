@@ -49,7 +49,12 @@
 #      tiny model with bmf_client, evaluate it, and shut the daemon down —
 #      proves the daemon/client binaries work end to end, not just the
 #      library they link. Repeated over TCP loopback (ephemeral port via
-#      --tcp-announce, pipelined eval) when the sandbox allows it.
+#      --tcp-announce, pipelined eval) when the sandbox allows it, followed
+#      by the benchmark's serve_routed workload for 2 s: its correctness
+#      gate drives a router over 3 durable shards under pipelined load, a
+#      path no unit test loads — every routed reply bit-equal to a local
+#      evaluation, every publish acked with the next version, one attempt
+#      per op.
 #   9. Sharded serving smoke test: three bmf_served shards behind one
 #      bmf_router (--replicas 2), driven with the ordinary bmf_client —
 #      publish replicates, evict converges, and killing one shard
@@ -233,6 +238,10 @@ if [ "$tcp_rc" -eq 0 ]; then
     echo "error: TCP smoke predictions were '$predictions', expected '1.5 3 '" >&2
     exit 1
   fi
+
+  echo "== serve_routed benchmark correctness gate =="
+  (cd "$src_dir" && python3 perfbench/run.py \
+      --workload serve_routed --seed 1 --seconds 2 --trace 0)
 fi
 
 echo "== Sharded serving smoke test (router) =="

@@ -82,6 +82,10 @@ else
   echo "analyze.sh: gtest headers not found; skipping test TUs" >&2
 fi
 
+# store_crash_test bakes the daemon's path in at compile time
+# (tests/CMakeLists.txt); a syntax-only pass needs some path to parse it.
+defines='-DBMF_SERVED_PATH="bmf_served"'
+
 status=0
 for tu in $sources; do
   case "$tu" in
@@ -89,7 +93,7 @@ for tu in $sources; do
       [ "$have_gtest" -eq 1 ] || continue ;;
   esac
   # shellcheck disable=SC2086
-  if ! g++ $gcc_flags $includes "$tu"; then
+  if ! g++ $gcc_flags $includes $defines "$tu"; then
     echo "analyze.sh: findings in $tu" >&2
     status=1
   fi

@@ -23,25 +23,30 @@
 //   ping, shutdown  -> answered by the router itself; shutdown drains the
 //                      router, never the backends.
 //
-// One thread owns everything — the router moves bytes, it never computes,
-// so there is no worker pool and (per the src/sync discipline) no locks:
-// the only cross-thread state is the stop flag and the observability
-// counters, both atomics. Each backend has one pipelined connection with
-// a FIFO pending queue (backends reply strictly in request order, so
-// matching is positional), kStats probes as liveness checks, and
-// decorrelated-jitter reconnects after a failure. A backend dying
-// mid-flight fails over or answers its pending requests with
-// kUpstreamUnavailable — it never tears unrelated client connections.
+// The client side is the same ConnectionLoop bmf_served runs
+// (connection_loop.hpp): admission, pipelining, deadlines and drain behave
+// identically. One thread owns everything — the router moves bytes, it
+// never computes, so there is no worker pool and (per the src/sync
+// discipline) no locks: the only cross-thread state is the stop flag and
+// the observability counters, both atomics. Each backend has one
+// pipelined connection on the same loop, with a FIFO pending queue
+// (backends reply strictly in request order, so matching is positional),
+// kStats probes as liveness checks, and decorrelated-jitter reconnects
+// (serve::Backoff) after a failure. A backend dying mid-flight fails over
+// or answers its pending requests with kUpstreamUnavailable — it never
+// tears unrelated client connections.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "router/hash_ring.hpp"
+#include "serve/connection_loop.hpp"
 #include "serve/error.hpp"
 #include "serve/wire.hpp"
 
@@ -69,12 +74,6 @@ struct RouterOptions {
   /// draws uniformly from [base, 3 * previous], capped.
   int reconnect_base_ms = 50;
   int reconnect_cap_ms = 2000;
-  /// Per-attempt connect budget. Connects run on the loop thread (a
-  /// localhost connect to a listening daemon is immediate), so this also
-  /// bounds the loop stall when a backend is down at attempt time.
-  int connect_timeout_ms = 50;
-  /// Seed for the reconnect jitter RNG (deterministic tests).
-  std::uint64_t jitter_seed = 1;
   std::size_t max_frame_bytes = serve::kDefaultMaxFrameBytes;
   /// Client admission, mirroring ServerOptions: registered connections,
   /// parked overflow, and per-connection in-flight pipelining bound.
@@ -90,9 +89,6 @@ class Router {
   /// on bad configuration.
   explicit Router(RouterOptions options);
 
-  /// Unlinks the UNIX socket path (if any).
-  ~Router();
-
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
@@ -101,18 +97,16 @@ class Router {
   void run();
 
   /// Async-signal-safe stop request (noticed within one ~100 ms tick).
-  void request_stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  void request_stop() noexcept { loop_->request_stop(); }
 
-  bool stop_requested() const noexcept {
-    return stop_.load(std::memory_order_relaxed);
-  }
+  bool stop_requested() const noexcept { return loop_->stop_requested(); }
 
   const RouterOptions& options() const { return options_; }
   const HashRing& ring() const { return ring_; }
 
   /// The TCP endpoint actually bound (port 0 resolved); .tcp is false
   /// when no TCP listener is configured.
-  serve::Endpoint tcp_endpoint() const { return tcp_endpoint_; }
+  serve::Endpoint tcp_endpoint() const { return loop_->tcp_endpoint(); }
 
   // Observability counters (any thread).
   std::uint64_t requests_routed() const { return requests_routed_.load(); }
@@ -121,25 +115,22 @@ class Router {
     return upstream_unavailable_.load();
   }
   std::uint64_t probes_sent() const { return probes_sent_.load(); }
-  std::uint64_t connections_shed() const { return connections_shed_.load(); }
+  std::uint64_t connections_shed() const { return loop_->connections_shed(); }
 
  private:
-  friend class RouterLoop;  // run()'s loop state, defined in router.cpp
+  friend class RouterLoop;  // run()'s routing state, defined in router.cpp
 
   RouterOptions options_;
   HashRing ring_;
   std::vector<serve::Endpoint> backend_endpoints_;
-  serve::UniqueFd unix_listen_;
-  serve::UniqueFd tcp_listen_;
-  serve::Endpoint tcp_endpoint_;
-  std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> requests_routed_{0};
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> upstream_unavailable_{0};
   std::atomic<std::uint64_t> probes_sent_{0};
-  std::atomic<std::uint64_t> connections_shed_{0};
   std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
+  /// Built once the options are normalized.
+  std::unique_ptr<serve::ConnectionLoop> loop_;
 };
 
 }  // namespace bmf::router

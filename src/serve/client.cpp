@@ -70,7 +70,7 @@ Client::Client(const std::string& endpoint, int timeout_ms,
       timeout_ms_(timeout_ms),
       max_frame_bytes_(max_frame_bytes),
       policy_(policy),
-      jitter_rng_(policy.seed) {
+      backoff_(policy.base_backoff_ms, policy.max_backoff_ms, policy.seed) {
   fd_ = connect_endpoint(endpoint_, timeout_ms_);
 }
 
@@ -148,18 +148,10 @@ bool Client::retry_allowed(const ServeError& e, FailurePoint failed_at,
           failed_at == FailurePoint::kConnect);
 }
 
-void Client::backoff_sleep(int& prev_backoff_ms, Clock::time_point deadline) {
-  // Decorrelated jitter: each sleep draws uniformly from
-  // [base, 3 * previous], capped, so recovering clients spread out
-  // instead of synchronizing on a common backoff schedule.
-  const double lo = static_cast<double>(policy_.base_backoff_ms);
-  const double hi = static_cast<double>(prev_backoff_ms) * 3.0 + 1.0;
-  int sleep_ms = static_cast<int>(jitter_rng_.uniform(lo, std::max(lo, hi)));
-  sleep_ms = std::min(sleep_ms, policy_.max_backoff_ms);
-  sleep_ms = std::min(sleep_ms, remaining_ms(deadline));
+void Client::backoff_sleep(Clock::time_point deadline) {
+  const int sleep_ms = std::min(backoff_.next_ms(), remaining_ms(deadline));
   if (sleep_ms > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-  prev_backoff_ms = std::max(sleep_ms, policy_.base_backoff_ms);
 }
 
 std::vector<std::uint8_t> Client::round_trip(

@@ -37,11 +37,11 @@
 #include "serve/error.hpp"
 
 #include "linalg/matrix.hpp"
+#include "serve/backoff.hpp"
 #include "serve/fitted_model.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/wire.hpp"
-#include "stats/rng.hpp"
 
 namespace bmf::serve {
 
@@ -204,8 +204,7 @@ class Client {
                      Idempotency idempotency);
 
   /// Decorrelated-jitter sleep between attempts (never past `deadline`).
-  void backoff_sleep(int& prev_backoff_ms,
-                     std::chrono::steady_clock::time_point deadline);
+  void backoff_sleep(std::chrono::steady_clock::time_point deadline);
 
   /// The shared reconnect-and-retry loop: run `attempt(first, failed_at)`
   /// under policy_, retrying as `idempotency` and the failure
@@ -214,7 +213,7 @@ class Client {
   auto with_retries(Idempotency idempotency, Attempt&& attempt) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(policy_.budget_ms);
-    int prev_backoff_ms = policy_.base_backoff_ms;
+    backoff_.reset();
     for (int attempt_no = 1;; ++attempt_no) {
       ++stats_.attempts;
       FailurePoint failed_at = FailurePoint::kConnect;
@@ -227,7 +226,7 @@ class Client {
           throw;
       }
       ++stats_.retries;
-      backoff_sleep(prev_backoff_ms, deadline);
+      backoff_sleep(deadline);
     }
   }
 
@@ -254,7 +253,7 @@ class Client {
   std::size_t max_frame_bytes_;
   RetryPolicy policy_;
   RetryStats stats_;
-  stats::Rng jitter_rng_;
+  Backoff backoff_;  // its RNG runs on across requests
 };
 
 }  // namespace bmf::serve

@@ -1,9 +1,9 @@
-// Per-connection building blocks of the epoll event loop (server.cpp):
-// incremental frame parsing, ordered reply sequencing, and a hashed
-// deadline wheel. These are pure data structures — no sockets, no
-// syscalls — so the pipelining unit tests (tests/serve_pipeline_test.cpp)
-// exercise frame reassembly, reply ordering, and deadline bookkeeping
-// byte-for-byte without a live daemon.
+// Per-connection building blocks of the epoll connection loop
+// (connection_loop.cpp): incremental frame parsing, ordered reply
+// sequencing, and a hashed deadline wheel. These are pure data structures
+// — no sockets, no syscalls — so the pipelining unit tests
+// (tests/serve_pipeline_test.cpp) exercise frame reassembly, reply
+// ordering, and deadline bookkeeping byte-for-byte without a live daemon.
 #pragma once
 
 #include <chrono>

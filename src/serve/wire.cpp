@@ -177,6 +177,29 @@ std::uint16_t bound_port(int fd, const char* context) {
                    "bound socket is not an inet socket");
 }
 
+/// The deadline/retry loop both connects share. `attempt` returns a
+/// connected fd, or an empty one after a refusal worth retrying (the
+/// daemon is still coming up: "start daemon; connect" scripts need no
+/// sleep), and throws on anything else. Capped exponential backoff between
+/// tries (1 ms doubling to 64 ms) spreads clients racing a starting daemon
+/// instead of stampeding it at a fixed period.
+template <typename Attempt>
+UniqueFd connect_until(int timeout_ms, const std::string& target,
+                       const char* context, Attempt&& attempt) {
+  const auto deadline = deadline_from(timeout_ms);
+  for (int backoff_ms = 1;; backoff_ms = std::min(backoff_ms * 2, 64)) {
+    UniqueFd fd = attempt();
+    if (fd.valid()) return fd;
+    const int left = remaining_ms(deadline);
+    if (left == 0)
+      throw ServeError(Status::kTimeout, context,
+                       "no daemon accepted " + target + " within " +
+                           std::to_string(timeout_ms) + " ms");
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(std::min(backoff_ms, left)));
+  }
+}
+
 }  // namespace
 
 Endpoint parse_endpoint(const std::string& spec) {
@@ -299,93 +322,44 @@ TcpListener listen_tcp(const std::string& host, std::uint16_t port,
 
 UniqueFd connect_unix(const std::string& path, int timeout_ms) {
   const char* context = "connect_unix";
-  const auto deadline = deadline_from(timeout_ms);
   const sockaddr_un addr = make_unix_address(path, context);
-  // Capped exponential backoff between attempts: many clients racing a
-  // starting daemon spread out instead of stampeding it at a fixed period.
-  int backoff_ms = 1;
-  for (;;) {
+  return connect_until(timeout_ms, path, context, [&] {
     UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
     if (!fd.valid()) sys_fail(context, "socket");
     if (fault::sys_connect(fd.get(),
                            reinterpret_cast<const sockaddr*>(&addr),
                            sizeof(addr)) == 0)
       return fd;
-    // ECONNREFUSED/ENOENT while the daemon is still coming up: retry
-    // until the deadline so "start daemon; connect" scripts need no sleep.
     if (errno != ECONNREFUSED && errno != ENOENT && errno != EINTR)
       sys_fail(context, "connect " + path);
-    const int left = remaining_ms(deadline);
-    if (left == 0)
-      throw ServeError(Status::kTimeout, context,
-                       "no daemon accepted " + path + " within " +
-                           std::to_string(timeout_ms) + " ms");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::min(backoff_ms, left)));
-    backoff_ms = std::min(backoff_ms * 2, 64);
-  }
+    return UniqueFd();
+  });
 }
 
 UniqueFd connect_tcp(const std::string& host, std::uint16_t port,
                      int timeout_ms) {
   const char* context = "connect_tcp";
-  const auto deadline = deadline_from(timeout_ms);
   const AddrInfoList list =
       resolve_tcp(host, port, /*passive=*/false, context);
-  int backoff_ms = 1;
-  for (;;) {
-    int last_errno = 0;
+  const std::string target = "tcp:" + host + ":" + std::to_string(port);
+  return connect_until(timeout_ms, target, context, [&] {
     for (const addrinfo* ai = list.head; ai != nullptr; ai = ai->ai_next) {
       UniqueFd fd(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
-      if (!fd.valid()) {
-        last_errno = errno;
-        continue;
-      }
+      if (!fd.valid()) continue;
       if (fault::sys_connect(fd.get(), ai->ai_addr, ai->ai_addrlen) == 0) {
         set_tcp_nodelay(fd.get());
         return fd;
       }
-      last_errno = errno;
       if (errno != ECONNREFUSED && errno != EINTR && errno != ETIMEDOUT)
-        sys_fail(context,
-                 "connect tcp:" + host + ":" + std::to_string(port));
+        sys_fail(context, "connect " + target);
     }
-    // Refused while the daemon is still coming up: same capped backoff as
-    // connect_unix, so "start daemon; connect" scripts need no sleep.
-    errno = last_errno;
-    const int left = remaining_ms(deadline);
-    if (left == 0)
-      throw ServeError(Status::kTimeout, context,
-                       "no daemon accepted tcp:" + host + ":" +
-                           std::to_string(port) + " within " +
-                           std::to_string(timeout_ms) + " ms");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::min(backoff_ms, left)));
-    backoff_ms = std::min(backoff_ms * 2, 64);
-  }
+    return UniqueFd();
+  });
 }
 
 UniqueFd connect_endpoint(const Endpoint& endpoint, int timeout_ms) {
   if (endpoint.tcp) return connect_tcp(endpoint.host, endpoint.port, timeout_ms);
   return connect_unix(endpoint.unix_path, timeout_ms);
-}
-
-std::optional<UniqueFd> accept_connection(int listen_fd, int timeout_ms) {
-  const char* context = "accept_connection";
-  const auto deadline = deadline_from(timeout_ms);
-  for (;;) {
-    try {
-      wait_ready(listen_fd, POLLIN, deadline, context);
-    } catch (const ServeError& e) {
-      if (e.status() == Status::kTimeout) return std::nullopt;
-      throw;
-    }
-    const int fd = fault::sys_accept(listen_fd);
-    if (fd >= 0) return UniqueFd(fd);
-    if (errno != EINTR && errno != ECONNABORTED && errno != EAGAIN &&
-        errno != EWOULDBLOCK)
-      sys_fail(context, "accept");
-  }
 }
 
 std::optional<UniqueFd> accept_pending(int listen_fd) {
@@ -410,18 +384,6 @@ void set_tcp_nodelay(int fd) {
   const int one = 1;
   if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0)
     sys_fail("set_tcp_nodelay", "setsockopt TCP_NODELAY");
-}
-
-bool poll_readable(int fd, int timeout_ms) {
-  const char* context = "poll_readable";
-  const auto deadline = deadline_from(timeout_ms);
-  try {
-    wait_ready(fd, POLLIN, deadline, context);
-  } catch (const ServeError& e) {
-    if (e.status() == Status::kTimeout) return false;
-    throw;
-  }
-  return true;
 }
 
 void write_frame(int fd, const std::uint8_t* data, std::size_t size,

@@ -119,10 +119,6 @@ UniqueFd connect_tcp(const std::string& host, std::uint16_t port,
 /// connect_unix or connect_tcp, picked by `endpoint.tcp`.
 UniqueFd connect_endpoint(const Endpoint& endpoint, int timeout_ms);
 
-/// Accept one connection, waiting up to `timeout_ms`. Returns an empty
-/// optional on timeout (the caller's chance to poll its stop flag).
-std::optional<UniqueFd> accept_connection(int listen_fd, int timeout_ms);
-
 /// Accept without waiting, for a non-blocking listener registered with a
 /// Poller: returns an empty optional when no connection is pending
 /// (EAGAIN — including the injected "short accept" — or an ECONNABORTED
@@ -135,12 +131,6 @@ void set_nonblocking(int fd);
 /// Set TCP_NODELAY on a TCP socket. Pipelining sends many small frames
 /// back-to-back; Nagle would hold each until the previous is acked.
 void set_tcp_nodelay(int fd);
-
-/// Wait up to `timeout_ms` for fd to become readable (data or EOF).
-/// Returns false on timeout; retries EINTR; throws ServeError(kInternal)
-/// on poll failure. Lets the server slice a request-idle wait into short
-/// polls so it can notice a stop request between them.
-bool poll_readable(int fd, int timeout_ms);
 
 /// Write one frame (length prefix + payload) within `timeout_ms`.
 /// Throws ServeError(kTooLarge) if size > max_frame, kTimeout on deadline,

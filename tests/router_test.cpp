@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -657,6 +658,189 @@ TEST(RouterChaos, RouterReconnectsWhenABackendComesBack) {
   revived_thread.join();
   std::remove(router_path.c_str());
   EXPECT_TRUE(reconnected) << "router never reconnected to the revived backend";
+}
+
+// ---- client-facing contract ------------------------------------------------
+
+/// One backend behind a router whose client-side limits the test sets,
+/// driven over a raw UNIX socket: the RouterClientSide tests speak the
+/// framing byte by byte, where a Client would hide what the router sent.
+class OneShardRouter {
+ public:
+  explicit OneShardRouter(const std::string& tag, RouterOptions options = {})
+      : backend_(tag + "_b", /*tcp=*/false) {
+    options.backends = {backend_.spec()};
+    options.replicas = 1;
+    path_ = ::testing::TempDir() + "/bmf_rc_" + tag + "_" +
+            std::to_string(::getpid()) + ".sock";
+    options.socket_path = path_;
+    router_ = std::make_unique<Router>(std::move(options));
+    thread_ = std::thread([this] { router_->run(); });
+  }
+
+  ~OneShardRouter() {
+    stop();
+    std::remove(path_.c_str());
+  }
+
+  void stop() {
+    if (stopped_) return;
+    stopped_ = true;
+    router_->request_stop();
+    thread_.join();
+  }
+
+  serve::UniqueFd connect() const { return serve::connect_unix(path_, 2000); }
+  const Router& router() const { return *router_; }
+
+ private:
+  BackendFixture backend_;
+  std::string path_;
+  std::unique_ptr<Router> router_;
+  std::thread thread_;
+  bool stopped_ = false;
+};
+
+void write_raw(int fd, const std::vector<std::uint8_t>& bytes) {
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<::ssize_t>(bytes.size()));
+}
+
+std::vector<std::uint8_t> framed(const serve::Request& request) {
+  std::vector<std::uint8_t> out;
+  const std::vector<std::uint8_t> body = serve::encode_request(request);
+  serve::append_frame(out, body.data(), body.size());
+  return out;
+}
+
+/// A length prefix announcing `n` payload bytes, with no payload after it.
+std::vector<std::uint8_t> bare_prefix(std::uint32_t n) {
+  std::vector<std::uint8_t> out(serve::kFramePrefixBytes);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = static_cast<std::uint8_t>(n >> (8 * i));
+  return out;
+}
+
+/// The next reply's verdict: kOk, or the structured error it carries
+/// (its message lands in `message` when asked for).
+Status next_status(int fd, std::string* message = nullptr) {
+  const auto reply = serve::read_frame(fd, 5000);
+  if (!reply) {
+    ADD_FAILURE() << "connection closed before the expected reply";
+    return Status::kInternal;
+  }
+  try {
+    serve::expect_ok(*reply);
+    return Status::kOk;
+  } catch (const ServeError& e) {
+    if (message != nullptr) *message = e.message();
+    return e.status();
+  }
+}
+
+bool closed_by_peer(int fd) { return !serve::read_frame(fd, 5000); }
+
+TEST(RouterClientSide, OversizedPrefixAfterPingsIsAnsweredInOrderThenCloses) {
+  RouterOptions options;
+  options.max_frame_bytes = 1024;
+  OneShardRouter router("oversized", options);
+  serve::UniqueFd fd = router.connect();
+  std::vector<std::uint8_t> bytes = framed(serve::PingRequest{});
+  const std::vector<std::uint8_t> second = framed(serve::PingRequest{});
+  const std::vector<std::uint8_t> huge = bare_prefix(1u << 20);
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  bytes.insert(bytes.end(), huge.begin(), huge.end());
+  write_raw(fd.get(), bytes);
+  EXPECT_EQ(next_status(fd.get()), Status::kOk);
+  EXPECT_EQ(next_status(fd.get()), Status::kOk);
+  EXPECT_EQ(next_status(fd.get()), Status::kTooLarge);
+  EXPECT_TRUE(closed_by_peer(fd.get()));
+}
+
+TEST(RouterClientSide, EofMidFrameAnswersThePingThenTears) {
+  OneShardRouter router("eof");
+  serve::UniqueFd fd = router.connect();
+  std::vector<std::uint8_t> bytes = framed(serve::PingRequest{});
+  const std::vector<std::uint8_t> partial = bare_prefix(8);
+  bytes.insert(bytes.end(), partial.begin(), partial.end());
+  bytes.insert(bytes.end(), {1, 2, 3});
+  write_raw(fd.get(), bytes);
+  ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+  EXPECT_EQ(next_status(fd.get()), Status::kOk);
+  EXPECT_EQ(next_status(fd.get()), Status::kBadRequest);
+  EXPECT_TRUE(closed_by_peer(fd.get()));
+}
+
+TEST(RouterClientSide, ConnectionPastStrictAdmissionIsShedOverloaded) {
+  RouterOptions options;
+  options.max_connections = 1;
+  options.max_pending = 0;
+  OneShardRouter router("shed", options);
+  serve::UniqueFd first = router.connect();
+  write_raw(first.get(), framed(serve::PingRequest{}));
+  ASSERT_EQ(next_status(first.get()), Status::kOk);  // registered
+  serve::UniqueFd second = router.connect();
+  EXPECT_EQ(next_status(second.get()), Status::kOverloaded);
+  EXPECT_TRUE(closed_by_peer(second.get()));
+  EXPECT_EQ(router.router().connections_shed(), 1u);
+  // The registered connection keeps its slot.
+  write_raw(first.get(), framed(serve::PingRequest{}));
+  EXPECT_EQ(next_status(first.get()), Status::kOk);
+}
+
+TEST(RouterClientSide, StopShedsParkedConnectionAndAnswersInFlightRequest) {
+  RouterOptions options;
+  options.max_connections = 1;
+  options.max_pending = 1;
+  OneShardRouter router("drain", options);
+  serve::UniqueFd active = router.connect();
+  serve::UniqueFd parked = router.connect();
+  // The ping's reply proves the router has looked at its listener since
+  // the parked connection arrived: it was accepted and parked.
+  write_raw(active.get(), framed(serve::PingRequest{}));
+  ASSERT_EQ(next_status(active.get()), Status::kOk);
+  const std::uint64_t routed = router.router().requests_routed();
+  write_raw(active.get(), framed(serve::StatsRequest{}));
+  // Stop only once the stats frame was read and routed: it is in flight.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (router.router().requests_routed() == routed &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GT(router.router().requests_routed(), routed);
+  std::thread stopper([&router] { router.stop(); });
+  EXPECT_EQ(next_status(parked.get()), Status::kShuttingDown);
+  EXPECT_EQ(next_status(active.get()), Status::kOk);
+  EXPECT_TRUE(closed_by_peer(active.get()));
+  stopper.join();
+}
+
+TEST(RouterClientSide, IdleConnectionTimesOut) {
+  RouterOptions options;
+  options.request_timeout_ms = 200;
+  OneShardRouter router("idle", options);
+  serve::UniqueFd fd = router.connect();
+  EXPECT_EQ(next_status(fd.get()), Status::kTimeout);
+  EXPECT_TRUE(closed_by_peer(fd.get()));
+}
+
+TEST(RouterClientSide, FrameStalledMidTransferIsNamedInTheTimeout) {
+  // A half-received frame is a stall, not idleness, and the verdict must
+  // say so. 6 of 8 bytes: a prefix announcing 4 payload bytes, then 2 of
+  // them (drawn from BMF_CHAOS_SEED like the chaos suite's bytes).
+  RouterOptions options;
+  options.request_timeout_ms = 200;
+  OneShardRouter router("stall", options);
+  serve::UniqueFd fd = router.connect();
+  stats::Rng rng(chaos_seed());
+  std::vector<std::uint8_t> bytes = bare_prefix(4);
+  bytes.push_back(static_cast<std::uint8_t>(rng.uniform_int(256)));
+  bytes.push_back(static_cast<std::uint8_t>(rng.uniform_int(256)));
+  write_raw(fd.get(), bytes);
+  std::string message;
+  EXPECT_EQ(next_status(fd.get(), &message), Status::kTimeout);
+  EXPECT_NE(message.find("mid-transfer"), std::string::npos) << message;
+  EXPECT_TRUE(closed_by_peer(fd.get()));
 }
 
 }  // namespace

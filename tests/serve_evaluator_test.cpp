@@ -72,21 +72,29 @@ TEST(BatchEvaluator, BlockSizeDoesNotChangeBits) {
 }
 
 TEST(BatchEvaluator, BitIdenticalAcrossThreadCounts) {
-  const auto model = make_model(12, 2, 21);
-  const auto points = make_points(513, 12, 22);
-  const BatchEvaluator evaluator;
-  linalg::Vector reference;
-  {
-    ScopedThreads one(1);
-    reference = evaluator.evaluate(model, points);
-  }
-  for (std::size_t threads : {2u, 4u}) {
-    ScopedThreads n(threads);
-    const linalg::Vector got = evaluator.evaluate(model, points);
-    ASSERT_EQ(got.size(), reference.size());
-    EXPECT_EQ(0, std::memcmp(got.data(), reference.data(),
-                             got.size() * sizeof(double)))
-        << threads << " threads";
+  // A quadratic model over a ragged batch, and a bulk serving request's
+  // shape: 4096 rows against a linear 24-variable model.
+  struct Shape {
+    std::size_t rows, dim;
+    unsigned degree;
+  };
+  for (const Shape shape : {Shape{513, 12, 2}, Shape{4096, 24, 1}}) {
+    const auto model = make_model(shape.dim, shape.degree, 21);
+    const auto points = make_points(shape.rows, shape.dim, 22);
+    const BatchEvaluator evaluator;
+    linalg::Vector reference;
+    {
+      ScopedThreads one(1);
+      reference = evaluator.evaluate(model, points);
+    }
+    for (std::size_t threads : {2u, 4u}) {
+      ScopedThreads n(threads);
+      const linalg::Vector got = evaluator.evaluate(model, points);
+      ASSERT_EQ(got.size(), reference.size());
+      EXPECT_EQ(0, std::memcmp(got.data(), reference.data(),
+                               got.size() * sizeof(double)))
+          << shape.rows << "x" << shape.dim << ", " << threads << " threads";
+    }
   }
 }
 
