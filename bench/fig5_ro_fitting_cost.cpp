@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "bmf/fusion.hpp"
+#include "bmf/map_solver.hpp"
 #include "experiment.hpp"
 #include "io/table.hpp"
 #include "regress/omp.hpp"

@@ -17,8 +17,9 @@
 #   3. Checked Debug build with Address+UndefinedBehaviorSanitizer + full
 #      test suite: one build dir covers memory errors, UB, and the
 #      BMF_CHECKED contract layer (contract_test's throwing half) at once.
-#   4. Smoke-run of the solver-scaling benchmark (tiny min-time) so bench
-#      bit-rot is caught without paying for a full measurement run.
+#   4. Smoke-run of the two benchmarks bench/run_bench.sh records (solver
+#      scaling and basis throughput, tiny min-time) so bench bit-rot is
+#      caught without paying for a full measurement run.
 #   5. Chaos matrix: the seeded fault-injection suite re-runs under
 #      ASan/UBSan with several BMF_CHAOS_SEED values, so each seed's
 #      distinct fault schedule (which calls get short reads, EINTR storms,
@@ -160,6 +161,7 @@ done
 echo "== Benchmark smoke run =="
 "$src_dir/build-ci-release/bench/ablation_solver_scaling" \
     --benchmark_min_time=0.01
+"$src_dir/build-ci-release/bench/basis_throughput" --benchmark_min_time=0.01
 
 echo "== SIMD level matrix =="
 # The dispatcher silently falls back when BMF_SIMD_LEVEL is unavailable,

@@ -111,10 +111,6 @@ const CvCurve& BmfFitter::nonzero_mean_curve() {
   return *nzm_curve_;
 }
 
-const CoefficientPrior& BmfFitter::prior_for(PriorKind kind) const {
-  return kind == PriorKind::kZeroMean ? zm_prior_ : nzm_prior_;
-}
-
 const MapSolverWorkspace& BmfFitter::workspace() const {
   if (!workspace_) {
     // The ZM and NZM priors share the precision scale q, so the workspace is
@@ -131,12 +127,9 @@ basis::PerformanceModel BmfFitter::fit_at(PriorKind kind, double tau) const {
   require_data();
   BMF_EXPECTS(tau > 0.0 && check::is_finite(tau),
               "BmfFitter::fit_at: tau must be positive and finite");
-  if (options_.solver == SolverKind::kDirect)
-    return basis::PerformanceModel(
-        late_basis_, map_solve_direct(g_, f_, prior_for(kind), tau));
-  // Fast solver: amortize the tau-independent kernel across every query on
-  // this design matrix (tau sweeps, BMF-PS trying both priors, the final
-  // fit) — each solve is O(K^2 + K M) after the first.
+  // Amortize the tau-independent kernel across every query on this design
+  // matrix (tau sweeps, BMF-PS trying both priors, the final fit) — each
+  // solve is O(K^2 + K M) after the first.
   const MapSolverWorkspace& ws = workspace();
   return basis::PerformanceModel(late_basis_,
                                  kind == PriorKind::kZeroMean

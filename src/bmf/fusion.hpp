@@ -9,17 +9,16 @@
 //      cross-validation over a log grid (Section IV-D),
 //   3. optionally picks the better of the two priors by the same CV error
 //      (the BMF-PS variant of Section V),
-//   4. solves the MAP estimate with the fast Woodbury solver (Section IV-C)
-//      or the direct Cholesky solver.
+//   4. solves the MAP estimate at the chosen (prior, tau).
 //
 // The ZM and NZM priors share the precision scale q, so one lazily-built
 // PriorKernel B = G diag(1/q) G^T (K x K) serves the whole fit: the CV
 // engine — built lazily and shared between the two priors — gathers every
-// fold's blocks from it, and when the fast solver is selected (the
-// default) the MAP solves share one lazily-built MapSolverWorkspace that
-// eigendecomposes the same B. Every fit_at(kind, tau) query and the final
-// fit then cost O(K^2 + K M) per solve, and B is computed once per
-// design matrix.
+// fold's blocks from it, and every MAP solve goes through one lazily-built
+// MapSolverWorkspace that eigendecomposes the same B. Every
+// fit_at(kind, tau) query and the final fit then cost O(K^2 + K M) per
+// solve, and B is computed once per design matrix. map_solve_direct
+// (bmf/map_solver.hpp) is the dense reference the tests hold fit_at to.
 #pragma once
 
 #include <memory>
@@ -27,9 +26,9 @@
 
 #include "basis/model.hpp"
 #include "bmf/cross_validation.hpp"
-#include "bmf/map_solver.hpp"
 #include "bmf/prior.hpp"
 #include "bmf/prior_mapping.hpp"
+#include "bmf/solver_workspace.hpp"
 
 namespace bmf::core {
 
@@ -41,7 +40,6 @@ const char* to_string(PriorSelection sel);
 struct FusionOptions {
   PriorOptions prior;
   CvOptions cv;
-  SolverKind solver = SolverKind::kFast;
 };
 
 struct FusionReport {
@@ -90,7 +88,6 @@ class BmfFitter {
   const FusionOptions& options() const { return options_; }
 
  private:
-  const CoefficientPrior& prior_for(PriorKind kind) const;
   void require_data() const;
   /// Lazily-built kernel of (g_, q); shared by the engine and workspace.
   const PriorKernel& kernel() const;
@@ -111,7 +108,7 @@ class BmfFitter {
   std::unique_ptr<CvEngine> engine_;
   std::optional<CvCurve> zm_curve_;
   std::optional<CvCurve> nzm_curve_;
-  // Amortized MAP solver state, built on first fit_at with the fast solver
+  // Amortized MAP solver state, built on first fit_at
   // (mutable: fit_at is logically const — the cache only changes cost).
   mutable std::unique_ptr<MapSolverWorkspace> workspace_;
   mutable std::optional<MapSolverWorkspace::ProjectedMean> nzm_mean_;

@@ -1,5 +1,6 @@
 #include "bmf/map_solver.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "check/contracts.hpp"
@@ -9,10 +10,6 @@
 
 namespace bmf::core {
 
-const char* to_string(SolverKind kind) {
-  return kind == SolverKind::kDirect ? "direct-cholesky" : "fast-woodbury";
-}
-
 namespace {
 
 void validate(const linalg::Matrix& g, const linalg::Vector& f,
@@ -20,12 +17,11 @@ void validate(const linalg::Matrix& g, const linalg::Vector& f,
   LINALG_REQUIRE(g.rows() == f.size(), "map_solve: rhs size mismatch");
   LINALG_REQUIRE(g.cols() == prior.size(),
                  "map_solve: prior size must match basis count");
-  if (tau <= 0.0)
-    throw std::invalid_argument("map_solve: tau must be positive");
+  if (!(tau > 0.0) || !std::isfinite(tau))
+    throw std::invalid_argument("map_solve: tau must be positive and finite");
   BMF_EXPECTS_DIMS(check::all_finite(g) && check::all_finite(f),
                    "map_solve: design matrix and responses must be finite",
                    {"g.rows", g.rows()}, {"g.cols", g.cols()});
-  BMF_EXPECTS(check::is_finite(tau), "map_solve: tau must be finite");
   BMF_EXPECTS_DIMS(check::all_positive(prior.precision_scale()) &&
                        check::all_finite(prior.mean()),
                    "map_solve: prior variances must be positive and finite",
@@ -43,16 +39,29 @@ linalg::Vector build_rhs(const linalg::Matrix& g, const linalg::Vector& f,
   return rhs;
 }
 
+/// The dense M x M posterior system (Eq. 28-35) that map_solve_direct and
+/// map_solve_robust factorize: a = G^T G + tau * D, rhs as build_rhs.
+struct DenseSystem {
+  linalg::Matrix a;
+  linalg::Vector rhs;
+};
+
+DenseSystem dense_system(const linalg::Matrix& g, const linalg::Vector& f,
+                         const CoefficientPrior& prior, double tau) {
+  DenseSystem sys{linalg::gram(g), build_rhs(g, f, prior, tau)};
+  const linalg::Vector& q = prior.precision_scale();
+  for (std::size_t m = 0; m < sys.a.rows(); ++m) sys.a(m, m) += tau * q[m];
+  return sys;
+}
+
 }  // namespace
 
 linalg::Vector map_solve_direct(const linalg::Matrix& g,
                                 const linalg::Vector& f,
                                 const CoefficientPrior& prior, double tau) {
   validate(g, f, prior, tau);
-  linalg::Matrix a = linalg::gram(g);
-  const linalg::Vector& q = prior.precision_scale();
-  for (std::size_t m = 0; m < a.rows(); ++m) a(m, m) += tau * q[m];
-  linalg::Vector x = linalg::Cholesky(a).solve(build_rhs(g, f, prior, tau));
+  const DenseSystem sys = dense_system(g, f, prior, tau);
+  linalg::Vector x = linalg::Cholesky(sys.a).solve(sys.rhs);
   BMF_ENSURES_DIMS(check::all_finite(x),
                    "map_solve_direct produced non-finite coefficients",
                    {"m", x.size()});
@@ -73,64 +82,18 @@ linalg::Vector map_solve_fast(const linalg::Matrix& g,
   return x;
 }
 
-linalg::Vector map_solve(const linalg::Matrix& g, const linalg::Vector& f,
-                         const CoefficientPrior& prior, double tau,
-                         SolverKind kind) {
-  return kind == SolverKind::kDirect ? map_solve_direct(g, f, prior, tau)
-                                     : map_solve_fast(g, f, prior, tau);
-}
-
 RobustMapResult map_solve_robust(const linalg::Matrix& g,
                                  const linalg::Vector& f,
                                  const CoefficientPrior& prior, double tau) {
   validate(g, f, prior, tau);
-  linalg::Matrix a = linalg::gram(g);
-  const linalg::Vector& q = prior.precision_scale();
-  for (std::size_t m = 0; m < a.rows(); ++m) a(m, m) += tau * q[m];
+  const DenseSystem sys = dense_system(g, f, prior, tau);
   RobustMapResult result;
   result.coefficients =
-      linalg::robust_spd_solve(a, build_rhs(g, f, prior, tau), &result.report);
+      linalg::robust_spd_solve(sys.a, sys.rhs, &result.report);
   BMF_ENSURES_DIMS(check::all_finite(result.coefficients),
                    "map_solve_robust produced non-finite coefficients",
                    {"m", result.coefficients.size()});
   return result;
-}
-
-std::vector<linalg::Vector> map_solve_tau_grid(const linalg::Matrix& g,
-                                               const linalg::Vector& f,
-                                               const CoefficientPrior& prior,
-                                               const linalg::Vector& taus) {
-  for (double tau : taus) validate(g, f, prior, tau);
-  MapSolverWorkspace workspace(g, f, prior);
-  std::vector<linalg::Vector> out;
-  out.reserve(taus.size());
-  for (double tau : taus) out.push_back(workspace.solve(tau));
-  return out;
-}
-
-MapPosterior map_posterior(const linalg::Matrix& g, const linalg::Vector& f,
-                           const CoefficientPrior& prior, double tau,
-                           double sigma0_sq) {
-  validate(g, f, prior, tau);
-  if (sigma0_sq <= 0.0)
-    throw std::invalid_argument("map_posterior: sigma0_sq must be positive");
-  linalg::Matrix a = linalg::gram(g);
-  const linalg::Vector& q = prior.precision_scale();
-  for (std::size_t m = 0; m < a.rows(); ++m) a(m, m) += tau * q[m];
-  linalg::Cholesky chol(a);
-  MapPosterior post;
-  post.mean = chol.solve(build_rhs(g, f, prior, tau));
-  // Sigma_L = sigma_0^2 (G^T G + tau D)^{-1}  (Eq. 28 rescaled by tau),
-  // via the explicit triangular inverse L^{-T} L^{-1} rather than M dense
-  // solves against identity columns.
-  post.covariance = chol.inverse();
-  post.covariance *= sigma0_sq;
-  BMF_ENSURES_DIMS(check::all_finite(post.mean) &&
-                       check::is_symmetric(post.covariance),
-                   "map_posterior must return a finite mean and a symmetric "
-                   "covariance",
-                   {"m", post.mean.size()});
-  return post;
 }
 
 }  // namespace bmf::core

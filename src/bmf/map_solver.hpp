@@ -1,39 +1,33 @@
 // Maximum-a-posteriori estimation of the late-stage model coefficients
-// (paper Section III-B), with the two solver implementations benchmarked
-// in Section V:
+// (paper Section III-B). Every solve here answers the normal equations
+//   (tau * D + G^T G) alpha = tau * D * mu + G^T f
+// exactly (no approximation), each for one job:
 //
 //  * map_solve_direct — forms the M x M posterior precision and Cholesky-
-//    factorizes it (the "conventional solver" of Fig. 5);
+//    factorizes it: the "conventional solver" of Fig. 5 and the reference
+//    every test compares the other paths against;
 //  * map_solve_fast   — the Sherman-Morrison-Woodbury low-rank update of
-//    Section IV-C (Eq. 53-58), which only ever factorizes a K x K matrix.
+//    Section IV-C (Eq. 53-58), which only ever factorizes a K x K matrix
+//    (Fig. 5's fast solver);
+//  * map_solve_robust — map_solve_direct with a degradation ladder instead
+//    of a throw on an indefinite precision (the serve kSolve handler).
 //
-// Both solve the same normal equations
-//   (tau * D + G^T G) alpha = tau * D * mu + G^T f
-// exactly (no approximation), so their results agree to solver tolerance.
-//
-// For repeated solves on the same (G, f, prior) — hyper-parameter sweeps,
-// BMF-PS evaluating both priors — use MapSolverWorkspace
+// Repeated solves on the same (G, f, prior) — BmfFitter's tau queries,
+// BMF-PS evaluating both priors — go through MapSolverWorkspace
 // (bmf/solver_workspace.hpp), which pays the factorization once and then
-// solves each tau in O(K^2 + K M); map_solve_tau_grid below is the
-// convenience wrapper.
+// solves each tau in O(K^2 + K M).
 #pragma once
 
-#include <vector>
-
 #include "bmf/prior.hpp"
-#include "bmf/solver_workspace.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 
 namespace bmf::core {
 
-enum class SolverKind { kDirect, kFast };
-
-const char* to_string(SolverKind kind);
-
 /// MAP coefficients via the dense M x M route (Eq. 28-35).
 /// tau is sigma_0^2 for the zero-mean prior and eta for the nonzero-mean
-/// prior; it must be positive.
+/// prior; every entry point throws std::invalid_argument unless it is
+/// positive and finite.
 linalg::Vector map_solve_direct(const linalg::Matrix& g,
                                 const linalg::Vector& f,
                                 const CoefficientPrior& prior, double tau);
@@ -42,11 +36,6 @@ linalg::Vector map_solve_direct(const linalg::Matrix& g,
 linalg::Vector map_solve_fast(const linalg::Matrix& g,
                               const linalg::Vector& f,
                               const CoefficientPrior& prior, double tau);
-
-/// Dispatch on `kind`.
-linalg::Vector map_solve(const linalg::Matrix& g, const linalg::Vector& f,
-                         const CoefficientPrior& prior, double tau,
-                         SolverKind kind);
 
 /// A MAP solve that degrades instead of throwing when the posterior
 /// precision is numerically indefinite (near-duplicate sampling points,
@@ -60,33 +49,10 @@ struct RobustMapResult {
 };
 
 /// map_solve_direct through linalg::robust_spd_solve. Input-shape and
-/// positivity violations (tau <= 0, size mismatches) still throw — those
-/// are caller bugs, not numeric conditioning.
+/// tau violations (tau not positive and finite, size mismatches) still
+/// throw — those are caller bugs, not numeric conditioning.
 RobustMapResult map_solve_robust(const linalg::Matrix& g,
                                  const linalg::Vector& f,
                                  const CoefficientPrior& prior, double tau);
-
-/// MAP coefficients for every tau in `taus`, amortizing the tau-independent
-/// kernel across the grid via MapSolverWorkspace: one O(K^2 M + K^3) build,
-/// then O(K^2 + K M) per grid point — instead of a full fresh solve each.
-/// Results match per-tau map_solve_fast to solver tolerance.
-std::vector<linalg::Vector> map_solve_tau_grid(const linalg::Matrix& g,
-                                               const linalg::Vector& f,
-                                               const CoefficientPrior& prior,
-                                               const linalg::Vector& taus);
-
-/// Full Gaussian posterior (mean and covariance, Eq. 28/29 resp. 31/32),
-/// for diagnostics and small-M analysis. `sigma0_sq` sets the absolute
-/// noise scale of the covariance: for the zero-mean prior pass tau itself;
-/// for the nonzero-mean prior tau = eta only fixes the mean, so the
-/// covariance is reported in units of sigma_0^2 = 1 unless provided.
-struct MapPosterior {
-  linalg::Vector mean;
-  linalg::Matrix covariance;
-};
-
-MapPosterior map_posterior(const linalg::Matrix& g, const linalg::Vector& f,
-                           const CoefficientPrior& prior, double tau,
-                           double sigma0_sq);
 
 }  // namespace bmf::core

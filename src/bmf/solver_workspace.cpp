@@ -1,6 +1,7 @@
 #include "bmf/solver_workspace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "check/contracts.hpp"
@@ -82,9 +83,9 @@ linalg::Vector MapSolverWorkspace::solve(double tau,
 
 linalg::Vector MapSolverWorkspace::solve(double tau,
                                          const ProjectedMean& mean) const {
-  if (tau <= 0.0)
-    throw std::invalid_argument("MapSolverWorkspace: tau must be positive");
-  BMF_EXPECTS(check::is_finite(tau), "MapSolverWorkspace: tau must be finite");
+  if (!(tau > 0.0) || !std::isfinite(tau))
+    throw std::invalid_argument(
+        "MapSolverWorkspace: tau must be positive and finite");
   const std::size_t k = num_samples(), m = num_bases();
 
   // Kernel form: y = V^T (f - G mu) ./ (tau + w), alpha = mu + D^{-1} G^T V y.

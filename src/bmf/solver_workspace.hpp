@@ -3,12 +3,13 @@
 //
 // Every MAP solve in the pipeline shares the normal equations
 //   (tau * D + G^T G) alpha = tau * D * mu + G^T f,   D = diag(q),
-// and the fusion pipeline solves them dozens of times on the *same*
-// (G, f, q): the tau sweep of the CV grid refit, BMF-PS evaluating both
-// priors, every SequentialFusion stage. map_solve_direct rebuilds an
-// O(K M^2) Gram and an O(M^3) Cholesky per call; map_solve_fast rebuilds an
-// O(K^2 M) Woodbury capacitance and an O(K^3) factorization per call — all
-// of it tau-independent work.
+// and the fusion pipeline solves them repeatedly on the *same* (G, f, q):
+// BmfFitter's fit_at queries and BMF-PS evaluating both priors.
+// map_solve_direct rebuilds an O(K M^2) Gram and an O(M^3) Cholesky per
+// call; map_solve_fast rebuilds an O(K^2 M) Woodbury capacitance and an
+// O(K^3) factorization per call — all of it tau-independent work. This
+// workspace is the one repeated-solve path: BmfFitter always solves
+// through it.
 //
 // MapSolverWorkspace hoists that work out of the tau loop. With the kernel
 // B = G D^{-1} G^T (PriorKernel) the push-through identity gives the
@@ -69,7 +70,8 @@ class MapSolverWorkspace {
   ProjectedMean project_mean(const linalg::Vector& mu) const;
 
   /// MAP coefficients at `tau` with the construction prior's own mean.
-  /// O(K^2 + K M).
+  /// O(K^2 + K M). Every solve() throws std::invalid_argument unless tau is
+  /// positive and finite.
   linalg::Vector solve(double tau) const;
 
   /// MAP coefficients at `tau` with an explicit mean (projected on the fly).
@@ -85,7 +87,8 @@ class MapSolverWorkspace {
   /// Degradation telemetry for the PSD clamp applied at construction.
   /// B = G D^{-1} G^T is PSD in exact arithmetic; roundoff can push
   /// eigenvalues slightly negative, and those are clamped to zero.
-  /// min_eigenvalue() is the smallest *pre-clamp* eigenvalue;
+  /// min_eigenvalue() is the smallest *pre-clamp* eigenvalue, or 0 when
+  /// none is negative (how far the spectrum dipped below zero);
   /// clamped_eigenvalues() counts eigenvalues below -tol (tol = relative
   /// to the spectral radius) — i.e. clamps large enough to signal a
   /// genuinely indefinite kernel rather than benign roundoff.

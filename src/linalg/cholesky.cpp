@@ -77,38 +77,6 @@ Matrix Cholesky::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix Cholesky::inverse_factor() const {
-  const std::size_t n = dim();
-  Matrix x(n, n, 0.0);
-  // Column j of X = L^{-1} solves L x = e_j; entries above row j stay zero.
-  for (std::size_t j = 0; j < n; ++j) {
-    x(j, j) = 1.0 / l_(j, j);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      const double* li = l_.row_ptr(i);
-      double s = 0.0;
-      for (std::size_t k = j; k < i; ++k) s -= li[k] * x(k, j);
-      x(i, j) = s / li[i];
-    }
-  }
-  return x;
-}
-
-Matrix Cholesky::inverse() const {
-  const std::size_t n = dim();
-  const Matrix x = inverse_factor();  // lower triangular
-  Matrix inv(n, n, 0.0);
-  // (A^{-1})(i, j) = sum_k X(k, i) X(k, j); X(k, i) = 0 for k < i, so the
-  // sum starts at max(i, j). Fill the upper triangle and mirror.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t k = j; k < n; ++k) s += x(k, i) * x(k, j);
-      inv(i, j) = s;
-      inv(j, i) = s;
-    }
-  return inv;
-}
-
 double Cholesky::log_det() const {
   double s = 0.0;
   for (std::size_t i = 0; i < dim(); ++i) s += std::log(l_(i, i));

@@ -38,16 +38,6 @@ class Cholesky {
   /// Lower-triangular factor L (A = L L^T).
   const Matrix& factor() const { return l_; }
 
-  /// L^{-1}, computed by triangular forward substitution on the implicit
-  /// identity (n^3/6 multiplies — each column j of the identity is zero
-  /// above row j, so no dense solve is ever performed).
-  Matrix inverse_factor() const;
-
-  /// A^{-1} = L^{-T} L^{-1}, assembled from inverse_factor() as a symmetric
-  /// product over the triangular support only. Roughly 3x cheaper than
-  /// solving A X = I column by dense column.
-  Matrix inverse() const;
-
   /// log(det(A)) = 2 * sum(log(L_ii)); useful for Bayesian evidence.
   double log_det() const;
 

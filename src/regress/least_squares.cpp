@@ -3,10 +3,7 @@
 #include <stdexcept>
 
 #include "check/contracts.hpp"
-#include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/smw.hpp"
 
 namespace bmf::regress {
 
@@ -33,35 +30,6 @@ basis::PerformanceModel least_squares_fit(const basis::BasisSet& basis,
                                           const linalg::Vector& f) {
   const linalg::Matrix g = basis::design_matrix(basis, points);
   return basis::PerformanceModel(basis, least_squares_coefficients(g, f));
-}
-
-linalg::Vector ridge_coefficients(const linalg::Matrix& g,
-                                  const linalg::Vector& f, double lambda) {
-  if (lambda <= 0.0)
-    throw std::invalid_argument("ridge: lambda must be positive");
-  LINALG_REQUIRE(g.rows() == f.size(), "ridge: rhs size mismatch");
-  BMF_EXPECTS_DIMS(check::all_finite(g) && check::all_finite(f) &&
-                       check::is_finite(lambda),
-                   "ridge: operands must be finite", {"g.rows", g.rows()},
-                   {"g.cols", g.cols()});
-  const std::size_t k = g.rows(), m = g.cols();
-  const linalg::Vector gtf = linalg::gemv_t(g, f);
-  if (k >= m) {
-    // Normal equations: (G^T G + lambda I) a = G^T f.
-    linalg::Matrix a = linalg::gram(g);
-    for (std::size_t i = 0; i < m; ++i) a(i, i) += lambda;
-    return linalg::spd_solve(a, gtf);
-  }
-  // Underdetermined: Woodbury with diag = lambda, c = 1.
-  const linalg::Vector diag(m, lambda);
-  return linalg::woodbury_solve(g, diag, 1.0, gtf);
-}
-
-basis::PerformanceModel ridge_fit(const basis::BasisSet& basis,
-                                  const linalg::Matrix& points,
-                                  const linalg::Vector& f, double lambda) {
-  const linalg::Matrix g = basis::design_matrix(basis, points);
-  return basis::PerformanceModel(basis, ridge_coefficients(g, f, lambda));
 }
 
 }  // namespace bmf::regress

@@ -19,13 +19,4 @@ basis::PerformanceModel least_squares_fit(const basis::BasisSet& basis,
                                           const linalg::Matrix& points,
                                           const linalg::Vector& f);
 
-/// Ridge regression: argmin ||G a - f||^2 + lambda ||a||^2, lambda > 0.
-/// Works for both K >= M (normal equations) and K < M (Woodbury identity).
-linalg::Vector ridge_coefficients(const linalg::Matrix& g,
-                                  const linalg::Vector& f, double lambda);
-
-basis::PerformanceModel ridge_fit(const basis::BasisSet& basis,
-                                  const linalg::Matrix& points,
-                                  const linalg::Vector& f, double lambda);
-
 }  // namespace bmf::regress

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "linalg/blas.hpp"
+#include "linalg/eigen_sym.hpp"
 #include "stats/rng.hpp"
 
 namespace bmf::linalg {
@@ -60,6 +61,19 @@ TEST(Cholesky, NonSquareThrows) {
 TEST(Cholesky, LogDet) {
   Matrix a{{4, 0}, {0, 9}};
   EXPECT_NEAR(Cholesky(a).log_det(), std::log(36.0), 1e-12);
+}
+
+TEST(Cholesky, LogDetMatchesEigenvalues) {
+  // log det(A) = sum(log w_i) for SPD A; log_det gets it from the factor's
+  // diagonal without forming det(A), which over/underflows at modest n.
+  stats::Rng rng(43);
+  for (std::size_t n : {3u, 12u, 40u}) {
+    const Matrix a = random_spd(n, rng);
+    double want = 0.0;
+    for (double w : eigen_symmetric(a).values) want += std::log(w);
+    EXPECT_NEAR(Cholesky(a).log_det(), want, 1e-10 * std::abs(want))
+        << "n=" << n;
+  }
 }
 
 TEST(Cholesky, RandomizedResidualProperty) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "bmf/map_solver.hpp"
 #include "linalg/blas.hpp"
 #include "regress/omp.hpp"
 #include "stats/descriptive.hpp"
@@ -191,6 +192,96 @@ TEST(Fusion, ValidatesShapes) {
                std::invalid_argument);
 }
 
+TEST(Fusion, FitAtRejectsNonFiniteTau) {
+  // fit_at solves through the shared workspace, whose tau guard holds in
+  // every build: a NaN or infinite tau is an error, not a NaN/zero model.
+  Scenario s = make_scenario(10, 8, 0.1, 0.02, 12);
+  BmfFitter fitter(s.basis, s.early, {}, {});
+  fitter.set_data(s.train_points, s.train_f);
+  for (PriorKind kind : {PriorKind::kZeroMean, PriorKind::kNonzeroMean})
+    for (double tau : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL})
+      EXPECT_THROW(fitter.fit_at(kind, tau), std::invalid_argument)
+          << "tau=" << tau;
+}
+
+TEST(Fusion, FitReturnsFitAtOfTheChosenParameters) {
+  // Algorithm 1's last step is one MAP solve at the CV-chosen (prior, tau):
+  // the fitted model must be exactly fit_at of what the report names.
+  Scenario s = make_scenario(25, 20, 0.1, 0.02, 13);
+  BmfFitter fitter(s.basis, s.early, {}, {});
+  fitter.set_data(s.train_points, s.train_f);
+  for (PriorSelection sel : {PriorSelection::kZeroMean,
+                             PriorSelection::kNonzeroMean,
+                             PriorSelection::kAuto}) {
+    const FusionResult res = fitter.fit(sel);
+    EXPECT_EQ(res.model.coefficients(),
+              fitter.fit_at(res.report.chosen_kind, res.report.chosen_tau)
+                  .coefficients())
+        << to_string(sel);
+  }
+}
+
+TEST(Fusion, RebindingDataRebuildsTheCachedSolver) {
+  // The kernel, CV engine and MAP workspace are cached per design matrix;
+  // binding new samples must drop them, so the refit equals a fresh fitter.
+  Scenario a = make_scenario(20, 15, 0.1, 0.02, 14);
+  Scenario b = make_scenario(20, 15, 0.1, 0.02, 15);
+  BmfFitter reused(a.basis, a.early, {}, {});
+  reused.set_data(a.train_points, a.train_f);
+  reused.fit();
+  reused.fit_at(PriorKind::kNonzeroMean, 1.0);
+  reused.set_data(b.train_points, b.train_f);
+
+  BmfFitter fresh(a.basis, a.early, {}, {});
+  fresh.set_data(b.train_points, b.train_f);
+  for (PriorKind kind : {PriorKind::kZeroMean, PriorKind::kNonzeroMean})
+    EXPECT_EQ(reused.fit_at(kind, 1.0).coefficients(),
+              fresh.fit_at(kind, 1.0).coefficients());
+  const FusionResult r = reused.fit();
+  const FusionResult f = fresh.fit();
+  EXPECT_EQ(r.report.chosen_kind, f.report.chosen_kind);
+  EXPECT_EQ(r.report.chosen_tau, f.report.chosen_tau);
+  EXPECT_EQ(r.model.coefficients(), f.model.coefficients());
+}
+
+TEST(Fusion, OptionsCarryResolvedCoefficientScale) {
+  // The prior width reference is max |alpha_E| over the informative
+  // non-constant terms; the fitter records it in options().prior.scale so
+  // callers can rebuild its exact priors.
+  const auto basis3 = basis::BasisSet::linear(3);
+  const linalg::Vector early{100.0, 0.5, -2.0, 0.1};  // [0] is the constant
+  EXPECT_EQ(BmfFitter(basis3, early).options().prior.scale, 2.0);
+  EXPECT_EQ(BmfFitter(basis3, early, {1, 1, 0, 1}).options().prior.scale, 0.5);
+  FusionOptions explicit_scale;
+  explicit_scale.prior.scale = 7.0;
+  EXPECT_EQ(BmfFitter(basis3, early, {}, explicit_scale).options().prior.scale,
+            7.0);
+  // No informative sensitivity at all: left unset, the prior falls back to
+  // its own default.
+  EXPECT_FALSE(BmfFitter(basis3, {3.0, 0.0, 0.0, 0.0})
+                   .options()
+                   .prior.scale.has_value());
+}
+
+TEST(Fusion, BmfFitMatchesExplicitFitter) {
+  // The one-call wrapper must be exactly construct + set_data + fit.
+  Scenario s = make_scenario(25, 20, 0.1, 0.02, 16);
+  FusionOptions options;
+  options.cv.folds = 4;
+  BmfFitter fitter(s.basis, s.early, {}, options);
+  fitter.set_data(s.train_points, s.train_f);
+  for (PriorSelection sel :
+       {PriorSelection::kNonzeroMean, PriorSelection::kAuto}) {
+    const FusionResult want = fitter.fit(sel);
+    const FusionResult got =
+        bmf_fit(s.basis, s.early, {}, s.train_points, s.train_f, sel, options);
+    EXPECT_EQ(got.report.chosen_kind, want.report.chosen_kind);
+    EXPECT_EQ(got.report.chosen_tau, want.report.chosen_tau);
+    EXPECT_EQ(got.report.cv_error, want.report.cv_error);
+    EXPECT_EQ(got.model.coefficients(), want.model.coefficients());
+  }
+}
+
 TEST(Fusion, SelectionToString) {
   EXPECT_STREQ(to_string(PriorSelection::kZeroMean), "BMF-ZM");
   EXPECT_STREQ(to_string(PriorSelection::kNonzeroMean), "BMF-NZM");
@@ -198,19 +289,21 @@ TEST(Fusion, SelectionToString) {
 }
 
 TEST(Fusion, DirectAndFastSolversGiveSameModel) {
+  // The fitted model (solved through the workspace) must match the dense
+  // reference solve at the chosen (prior, tau) under the fitter's own prior.
   Scenario s = make_scenario(25, 20, 0.1, 0.02, 11);
-  FusionOptions fast_opt;
-  fast_opt.solver = SolverKind::kFast;
-  FusionOptions direct_opt;
-  direct_opt.solver = SolverKind::kDirect;
-  auto fast = bmf_fit(s.basis, s.early, {}, s.train_points, s.train_f,
-                      PriorSelection::kAuto, fast_opt);
-  auto direct = bmf_fit(s.basis, s.early, {}, s.train_points, s.train_f,
-                        PriorSelection::kAuto, direct_opt);
-  ASSERT_EQ(fast.report.chosen_kind, direct.report.chosen_kind);
+  BmfFitter fitter(s.basis, s.early, {}, {});
+  fitter.set_data(s.train_points, s.train_f);
+  const FusionResult fast = fitter.fit(PriorSelection::kAuto);
+  const PriorOptions& options = fitter.options().prior;
+  const CoefficientPrior prior =
+      fast.report.chosen_kind == PriorKind::kZeroMean
+          ? CoefficientPrior::zero_mean(s.early, {}, options)
+          : CoefficientPrior::nonzero_mean(s.early, {}, options);
+  const linalg::Vector direct = map_solve_direct(
+      fitter.design(), s.train_f, prior, fast.report.chosen_tau);
   for (std::size_t j = 0; j < s.early.size(); ++j)
-    EXPECT_NEAR(fast.model.coefficients()[j], direct.model.coefficients()[j],
-                1e-6);
+    EXPECT_NEAR(fast.model.coefficients()[j], direct[j], 1e-6);
 }
 
 }  // namespace

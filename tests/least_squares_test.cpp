@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "basis/basis_set.hpp"
 #include "linalg/blas.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
@@ -69,45 +70,34 @@ TEST(LeastSquares, NoisyFitApproachesTruthWithMoreSamples) {
   EXPECT_LT(err_large, 0.1);
 }
 
-TEST(Ridge, ShrinksTowardZero) {
-  stats::Rng rng(3);
-  const linalg::Vector truth{0.0, 4.0};
-  Data d = make_linear_data(truth, 50, 0.1, rng);
-  auto basis1 = basis::BasisSet::linear(1);
-  auto weak = ridge_fit(basis1, d.points, d.f, 1e-6);
-  auto strong = ridge_fit(basis1, d.points, d.f, 1e6);
-  EXPECT_NEAR(weak.coefficients()[1], 4.0, 0.05);
-  EXPECT_LT(std::abs(strong.coefficients()[1]), 0.1);
+TEST(LeastSquares, SquareSystemIsSolvedExactly) {
+  // K == M is the smallest sample count least squares accepts: the fit
+  // must interpolate every sample.
+  stats::Rng rng(5);
+  const std::size_t n = 9;
+  linalg::Matrix g(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) g(i, j) = rng.normal();
+  const linalg::Vector f = rng.normal_vector(n);
+  const linalg::Vector a = least_squares_coefficients(g, f);
+  const linalg::Vector fitted = linalg::gemv(g, a);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(fitted[i], f[i], 1e-10 * (linalg::norm_inf(f) + 1.0))
+        << "i=" << i;
 }
 
-TEST(Ridge, UnderdeterminedViaWoodburyMatchesNormalEquationsLimit) {
-  // K < M path must agree with the K >= M path on a square-ish problem
-  // evaluated both ways (pad with zero columns to flip the branch).
-  stats::Rng rng(4);
-  const std::size_t k = 6, m = 4;
-  linalg::Matrix g(k, m);
-  for (std::size_t i = 0; i < k; ++i)
-    for (std::size_t j = 0; j < m; ++j) g(i, j) = rng.normal();
-  linalg::Vector f = rng.normal_vector(k);
-  const double lambda = 0.3;
-  linalg::Vector a1 = ridge_coefficients(g, f, lambda);  // k >= m branch
-
-  // Wide variant: append columns of zeros; solution on original coords
-  // must be identical and the new coords zero.
-  linalg::Matrix gw(k, 10, 0.0);
-  for (std::size_t i = 0; i < k; ++i)
-    for (std::size_t j = 0; j < m; ++j) gw(i, j) = g(i, j);
-  linalg::Vector a2 = ridge_coefficients(gw, f, lambda);  // k < m branch
-  for (std::size_t j = 0; j < m; ++j) EXPECT_NEAR(a2[j], a1[j], 1e-9);
-  for (std::size_t j = m; j < 10; ++j) EXPECT_NEAR(a2[j], 0.0, 1e-12);
-}
-
-TEST(Ridge, Validates) {
-  linalg::Matrix g(3, 2);
-  linalg::Vector f(3, 0.0);
-  EXPECT_THROW(ridge_coefficients(g, f, 0.0), std::invalid_argument);
-  EXPECT_THROW(ridge_coefficients(g, f, -1.0), std::invalid_argument);
-  EXPECT_THROW(ridge_coefficients(g, {1.0}, 1.0), std::invalid_argument);
+TEST(LeastSquares, FitSolvesOverTheBasisDesignMatrix) {
+  // least_squares_fit is least_squares_coefficients on the basis' design
+  // matrix, wrapped in a model over that basis.
+  stats::Rng rng(6);
+  Data d = make_linear_data({0.3, -1.0, 2.0, 0.0, 4.0}, 30, 0.2, rng);
+  const auto basis4 = basis::BasisSet::linear(4);
+  const basis::PerformanceModel model =
+      least_squares_fit(basis4, d.points, d.f);
+  EXPECT_EQ(model.num_terms(), basis4.size());
+  EXPECT_EQ(model.coefficients(),
+            least_squares_coefficients(
+                basis::design_matrix(basis4, d.points), d.f));
 }
 
 }  // namespace

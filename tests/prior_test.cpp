@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace bmf::core {
 namespace {
@@ -110,6 +111,57 @@ TEST(Prior, MaximumLikelihoodSigmaOptimality) {
   const double at_opt = density(alpha_e);
   for (double s : {0.5, 1.0, 1.5, 1.9, 2.5, 4.0})
     EXPECT_LE(density(s), at_opt + 1e-12) << "sigma=" << s;
+}
+
+TEST(Prior, FromMomentsValidatesAndInfersKind) {
+  // The serve kSolve verb builds its prior from client-sent moments, so
+  // every malformed moment must be rejected here.
+  auto nzm = CoefficientPrior::from_moments({0.5, 0.0}, {2.0, 4.0});
+  EXPECT_EQ(nzm.kind(), PriorKind::kNonzeroMean);
+  EXPECT_EQ(nzm.mean(), (linalg::Vector{0.5, 0.0}));
+  EXPECT_EQ(nzm.precision_scale(), (linalg::Vector{2.0, 4.0}));
+  EXPECT_EQ(nzm.num_informative(), 2u);
+  EXPECT_EQ(CoefficientPrior::from_moments({0.0, 0.0}, {1.0, 1.0}).kind(),
+            PriorKind::kZeroMean);
+  EXPECT_THROW(CoefficientPrior::from_moments({0.0}, {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(CoefficientPrior::from_moments({}, {}), std::invalid_argument);
+  for (double q : {0.0, -1.0, std::nan(""), HUGE_VAL})
+    EXPECT_THROW(CoefficientPrior::from_moments({0.0, 1.0}, {1.0, q}),
+                 std::invalid_argument)
+        << "q=" << q;
+  for (double mu : {std::nan(""), HUGE_VAL})
+    EXPECT_THROW(CoefficientPrior::from_moments({mu, 1.0}, {1.0, 1.0}),
+                 std::invalid_argument)
+        << "mu=" << mu;
+}
+
+TEST(Prior, KernelIsWeightedOuterGram) {
+  // PriorKernel is B = G D^{-1} G^T with D = diag(q), shared by the CV
+  // engine and the MAP workspace: check it entry by entry, and that B is
+  // exactly symmetric (the eigensolver relies on it).
+  const linalg::Matrix g{{1.0, 2.0, 0.0, -1.0},
+                         {0.5, 0.0, 3.0, 1.0},
+                         {-2.0, 1.0, 1.0, 0.25}};
+  const auto prior = CoefficientPrior::from_moments({0.0, 1.0, 0.0, -2.0},
+                                                    {2.0, 0.5, 4.0, 1.0});
+  const PriorKernel kernel(g, prior);
+  ASSERT_EQ(kernel.inv_q.size(), 4u);
+  for (std::size_t m = 0; m < 4; ++m)
+    EXPECT_EQ(kernel.inv_q[m], 1.0 / prior.precision_scale()[m]);
+  ASSERT_EQ(kernel.b.rows(), 3u);
+  ASSERT_EQ(kernel.b.cols(), 3u);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 3; ++j) {
+      double want = 0.0;
+      for (std::size_t m = 0; m < 4; ++m)
+        want += g(i, m) * g(j, m) * kernel.inv_q[m];
+      EXPECT_NEAR(kernel.b(i, j), want, 1e-14 * (std::abs(want) + 1.0))
+          << "i=" << i << " j=" << j;
+      EXPECT_EQ(kernel.b(i, j), kernel.b(j, i)) << "i=" << i << " j=" << j;
+    }
+  EXPECT_THROW(PriorKernel(g, CoefficientPrior::zero_mean({1.0, 1.0})),
+               std::invalid_argument);
 }
 
 TEST(Prior, ToStringNames) {

@@ -54,7 +54,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{3, 10},
                       std::pair<std::size_t, std::size_t>{10, 10},
                       std::pair<std::size_t, std::size_t>{5, 50},
-                      std::pair<std::size_t, std::size_t>{20, 100}));
+                      std::pair<std::size_t, std::size_t>{20, 100},
+                      std::pair<std::size_t, std::size_t>{30, 8}));
 
 TEST(Woodbury, WideSpreadDiagonal) {
   // Mimics missing-prior flat entries: some variances huge, some tiny.
@@ -73,25 +74,9 @@ TEST(Woodbury, WideSpreadDiagonal) {
     EXPECT_NEAR(x[i], ref[i], 1e-6 * (norm_inf(ref) + 1.0));
 }
 
-TEST(Woodbury, RepeatedSolvesReuseFactorization) {
-  stats::Rng rng(5);
-  const std::size_t k = 3, m = 8;
-  Matrix g(k, m);
-  for (std::size_t i = 0; i < k; ++i)
-    for (std::size_t j = 0; j < m; ++j) g(i, j) = rng.normal();
-  Vector diag(m, 2.0);
-  WoodburySolver solver(g, diag, 1.5);
-  for (int rep = 0; rep < 3; ++rep) {
-    Vector b = rng.normal_vector(m);
-    Vector x = solver.solve(b);
-    Vector ref = dense_reference(g, diag, 1.5, b);
-    for (std::size_t i = 0; i < m; ++i) EXPECT_NEAR(x[i], ref[i], 1e-9);
-  }
-}
-
-TEST(Woodbury, RescaleDiagMatchesFreshSolver) {
-  // rescale_diag(s) must behave exactly like a solver built on s * diag,
-  // while reusing the cached base kernel B = G diag^{-1} G^T.
+TEST(Woodbury, ScaledDiagonalMatchesDenseReference) {
+  // map_solve_fast passes diag = tau * q: sweeping the diagonal's overall
+  // scale over the range a tau grid covers must stay on the dense answer.
   stats::Rng rng(23);
   const std::size_t k = 6, m = 20;
   Matrix g(k, m);
@@ -100,34 +85,56 @@ TEST(Woodbury, RescaleDiagMatchesFreshSolver) {
   Vector diag(m);
   for (double& d : diag) d = 0.2 + rng.uniform();
   Vector b = rng.normal_vector(m);
-
-  WoodburySolver solver(g, diag, 1.0);
-  EXPECT_EQ(solver.diag_scale(), 1.0);
-  for (double s : {0.25, 1.0, 8.0, 300.0}) {
-    solver.rescale_diag(s);
-    EXPECT_EQ(solver.diag_scale(), s);
+  for (double s : {1e-3, 0.25, 1.0, 8.0, 300.0}) {
     Vector scaled = diag;
     for (double& d : scaled) d *= s;
-    Vector fresh = WoodburySolver(g, scaled, 1.0).solve(b);
+    Vector x = woodbury_solve(g, scaled, 1.0, b);
     Vector ref = dense_reference(g, scaled, 1.0, b);
-    Vector x = solver.solve(b);
     const double tol = 1e-9 * (norm_inf(ref) + 1.0);
-    for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t i = 0; i < m; ++i)
       EXPECT_NEAR(x[i], ref[i], tol) << "s=" << s;
-      EXPECT_NEAR(x[i], fresh[i], tol) << "s=" << s;
-    }
   }
-  EXPECT_THROW(solver.rescale_diag(0.0), std::invalid_argument);
-  EXPECT_THROW(solver.rescale_diag(-2.0), std::invalid_argument);
+}
+
+TEST(Woodbury, GramScaleSweepMatchesDense) {
+  // c enters only through the c^{-1} I shift of the capacitance matrix;
+  // weak and strong Gram weights must both reproduce the dense solve.
+  stats::Rng rng(31);
+  const std::size_t k = 7, m = 24;
+  Matrix g(k, m);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < m; ++j) g(i, j) = rng.normal();
+  Vector diag(m);
+  for (double& d : diag) d = 0.5 + rng.uniform();
+  Vector b = rng.normal_vector(m);
+  for (double c : {1e-3, 1.0, 1e3}) {
+    Vector x = woodbury_solve(g, diag, c, b);
+    Vector ref = dense_reference(g, diag, c, b);
+    const double tol = 1e-9 * (norm_inf(ref) + 1.0);
+    for (std::size_t i = 0; i < m; ++i)
+      EXPECT_NEAR(x[i], ref[i], tol) << "c=" << c;
+  }
+}
+
+TEST(Woodbury, ZeroDesignReducesToDiagonalSolve) {
+  // With G = 0 the low-rank term vanishes: x = b ./ diag exactly.
+  Matrix g(3, 5, 0.0);
+  const Vector diag{0.5, 2.0, 4.0, 1.0, 8.0};
+  const Vector b{1.0, -2.0, 3.0, 0.25, 16.0};
+  const Vector x = woodbury_solve(g, diag, 2.0, b);
+  ASSERT_EQ(x.size(), b.size());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    EXPECT_DOUBLE_EQ(x[i], b[i] / diag[i]) << "i=" << i;
 }
 
 TEST(Woodbury, RejectsBadInputs) {
   Matrix g(2, 3);
-  EXPECT_THROW(WoodburySolver(g, {1, 1}, 1.0), std::invalid_argument);
-  EXPECT_THROW(WoodburySolver(g, {1, 1, 0}, 1.0), std::invalid_argument);
-  EXPECT_THROW(WoodburySolver(g, {1, 1, 1}, 0.0), std::invalid_argument);
-  WoodburySolver ok(g, {1, 1, 1}, 1.0);
-  EXPECT_THROW(ok.solve({1, 1}), std::invalid_argument);
+  const Vector b{1, 1, 1};
+  EXPECT_THROW(woodbury_solve(g, {1, 1}, 1.0, b), std::invalid_argument);
+  EXPECT_THROW(woodbury_solve(g, {1, 1, 0}, 1.0, b), std::invalid_argument);
+  EXPECT_THROW(woodbury_solve(g, {1, 1, 1}, 0.0, b), std::invalid_argument);
+  EXPECT_THROW(woodbury_solve(g, {1, 1, 1}, 1.0, {1, 1}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "bmf/cross_validation.hpp"
 #include "bmf/fusion.hpp"
 #include "bmf/map_solver.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/eigen_sym.hpp"
 #include "stats/rng.hpp"
 
 namespace bmf::core {
@@ -162,16 +167,99 @@ TEST(SolverWorkspace, ZeroMeanProjectionShortCircuits) {
   EXPECT_EQ(ws.solve(2.0, mean), ws.solve(2.0));
 }
 
-TEST(SolverWorkspace, TauGridHelperMatchesPerTauSolves) {
+TEST(SolverWorkspace, KernelConstructorMatchesPriorConstructorBitwise) {
+  // The (g, f, prior) constructor builds PriorKernel(g, prior) and
+  // delegates, so a workspace built from a precomputed kernel — the way
+  // BmfFitter builds it — must solve bit-identically.
+  stats::Rng rng(17);
+  Problem p = make_problem(18, 40, rng);
+  for (const CoefficientPrior& prior :
+       {CoefficientPrior::zero_mean(p.early),
+        CoefficientPrior::nonzero_mean(p.early)}) {
+    MapSolverWorkspace from_prior(p.g, p.f, prior);
+    const PriorKernel kernel(p.g, prior);
+    MapSolverWorkspace from_kernel(p.g, p.f, kernel, prior.mean());
+    for (double tau : log_grid(1e-3, 1e3, 7))
+      EXPECT_EQ(from_prior.solve(tau), from_kernel.solve(tau))
+          << "tau=" << tau;
+  }
+}
+
+TEST(SolverWorkspace, SolvesDoNotDependOnQueryOrder) {
+  // The workspace holds only tau-independent state: sweeping the tau grid
+  // up, then down while alternating the two prior means, must return
+  // bit-identical coefficients for each (tau, mean).
   stats::Rng rng(14);
   Problem p = make_problem(20, 15, rng);
-  auto prior = CoefficientPrior::zero_mean(p.early);
-  linalg::Vector taus = log_grid(1e-2, 1e2, 7);
-  std::vector<linalg::Vector> grid = map_solve_tau_grid(p.g, p.f, prior, taus);
-  ASSERT_EQ(grid.size(), taus.size());
+  auto zm = CoefficientPrior::zero_mean(p.early);
+  auto nzm = CoefficientPrior::nonzero_mean(p.early);
+  MapSolverWorkspace ws(p.g, p.f, zm);
+  const MapSolverWorkspace::ProjectedMean mean = ws.project_mean(nzm.mean());
+  const linalg::Vector taus = log_grid(1e-2, 1e2, 7);
+  std::vector<linalg::Vector> up_zm, up_nzm;
+  for (double tau : taus) {
+    up_zm.push_back(ws.solve(tau));
+    up_nzm.push_back(ws.solve(tau, mean));
+  }
+  for (std::size_t t = taus.size(); t-- > 0;) {
+    EXPECT_EQ(ws.solve(taus[t], mean), up_nzm[t]) << "t=" << t;
+    EXPECT_EQ(ws.solve(taus[t]), up_zm[t]) << "t=" << t;
+  }
+}
+
+class WorkspaceLargeTau : public ::testing::TestWithParam<PriorKind> {};
+
+TEST_P(WorkspaceLargeTau, ConvergesToPriorMean) {
+  // As tau -> inf the prior takes over: the kernel form
+  // mu + D^{-1} G^T V (V^T (f - G mu)) ./ (tau + w) must go to the prior
+  // mean (zero for ZM, the early model for NZM) at rate 1 / tau.
+  stats::Rng rng(18);
+  Problem p = make_problem(20, 8, rng);
+  auto prior = GetParam() == PriorKind::kZeroMean
+                   ? CoefficientPrior::zero_mean(p.early)
+                   : CoefficientPrior::nonzero_mean(p.early);
   MapSolverWorkspace ws(p.g, p.f, prior);
-  for (std::size_t t = 0; t < taus.size(); ++t)
-    EXPECT_EQ(grid[t], ws.solve(taus[t])) << "t=" << t;
+  const linalg::Vector a = ws.solve(1e10);
+  ASSERT_EQ(a.size(), prior.mean().size());
+  for (std::size_t j = 0; j < a.size(); ++j)
+    EXPECT_NEAR(a[j], prior.mean()[j], 1e-3) << "j=" << j;
+}
+
+INSTANTIATE_TEST_SUITE_P(Priors, WorkspaceLargeTau,
+                         ::testing::Values(PriorKind::kZeroMean,
+                                           PriorKind::kNonzeroMean));
+
+TEST(SolverWorkspace, FullRankKernelIsNotClamped) {
+  // K < M with a Gaussian design: B = G D^{-1} G^T is safely positive
+  // definite, so the spectrum never dips below zero and the PSD clamp
+  // never fires.
+  stats::Rng rng(19);
+  Problem p = make_problem(10, 30, rng);
+  MapSolverWorkspace ws(p.g, p.f, CoefficientPrior::zero_mean(p.early));
+  EXPECT_EQ(ws.min_eigenvalue(), 0.0);
+  EXPECT_EQ(ws.clamped_eigenvalues(), 0u);
+  EXPECT_FALSE(ws.degraded());
+}
+
+TEST(SolverWorkspace, RankDeficientKernelClampIsBenignRoundoff) {
+  // K > M: B (K x K) has rank M, so K - M eigenvalues are zero in exact
+  // arithmetic and roundoff may push some just below zero. Those sit
+  // inside the relative tolerance: the clamp is not reported as
+  // degradation, and the solves still match the dense reference.
+  stats::Rng rng(20);
+  Problem p = make_problem(24, 6, rng);
+  auto prior = CoefficientPrior::nonzero_mean(p.early);
+  MapSolverWorkspace ws(p.g, p.f, prior);
+  const linalg::Vector w =
+      linalg::eigen_symmetric(PriorKernel(p.g, prior).b).values;
+  double wmax = 0.0;
+  for (double v : w) wmax = std::max(wmax, std::abs(v));
+  EXPECT_GE(ws.min_eigenvalue(), -1e-12 * wmax);
+  EXPECT_EQ(ws.clamped_eigenvalues(), 0u);
+  EXPECT_FALSE(ws.degraded());
+  for (double tau : {1e-2, 1.0, 1e2})
+    expect_close(ws.solve(tau), map_solve_direct(p.g, p.f, prior, tau), 1e-7,
+                 "rank-deficient");
 }
 
 TEST(SolverWorkspace, Validation) {
@@ -179,31 +267,29 @@ TEST(SolverWorkspace, Validation) {
   Problem p = make_problem(8, 4, rng);
   auto prior = CoefficientPrior::zero_mean(p.early);
   MapSolverWorkspace ws(p.g, p.f, prior);
-  EXPECT_THROW(ws.solve(0.0), std::invalid_argument);
-  EXPECT_THROW(ws.solve(-1.0), std::invalid_argument);
+  // tau must be positive and finite in every build.
+  for (double tau : {0.0, -1.0, std::nan(""), HUGE_VAL})
+    EXPECT_THROW(ws.solve(tau), std::invalid_argument) << "tau=" << tau;
   EXPECT_THROW(ws.project_mean(linalg::Vector(3, 1.0)), std::invalid_argument);
-  EXPECT_THROW(map_solve_tau_grid(p.g, p.f, prior, {1.0, -1.0}),
-               std::invalid_argument);
 }
 
 TEST(SolverWorkspace, FitterFastPathMatchesDirectSolver) {
-  // BmfFitter::fit_at with the (default) fast solver routes through the
-  // shared workspace; it must agree with the direct solver for both priors.
+  // BmfFitter::fit_at routes through the shared workspace; it must agree
+  // with the dense reference solve under the fitter's own priors.
   stats::Rng rng(16);
   Problem p = make_problem(30, 10, rng);
-  FusionOptions fast, direct;
-  fast.solver = SolverKind::kFast;
-  direct.solver = SolverKind::kDirect;
   // A moderately wrong prior keeps the problem well-conditioned.
-  BmfFitter ff(basis::BasisSet::total_degree(1, 9), p.early, {}, fast);
-  BmfFitter fd(basis::BasisSet::total_degree(1, 9), p.early, {}, direct);
-  ff.set_design(p.g, p.f);
-  fd.set_design(p.g, p.f);
+  BmfFitter fitter(basis::BasisSet::total_degree(1, 9), p.early);
+  fitter.set_design(p.g, p.f);
+  const PriorOptions& options = fitter.options().prior;
+  const auto zm = CoefficientPrior::zero_mean(p.early, {}, options);
+  const auto nzm = CoefficientPrior::nonzero_mean(p.early, {}, options);
   for (double tau : {1e-1, 1.0, 10.0})
     for (PriorKind kind : {PriorKind::kZeroMean, PriorKind::kNonzeroMean}) {
-      auto a = ff.fit_at(kind, tau);
-      auto b = fd.fit_at(kind, tau);
-      expect_close(a.coefficients(), b.coefficients(), 1e-7, "fit_at");
+      const CoefficientPrior& prior = kind == PriorKind::kZeroMean ? zm : nzm;
+      expect_close(fitter.fit_at(kind, tau).coefficients(),
+                   map_solve_direct(fitter.design(), p.f, prior, tau), 1e-7,
+                   "fit_at");
     }
 }
 
