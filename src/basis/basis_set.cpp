@@ -37,15 +37,6 @@ std::string BasisTerm::to_string() const {
   return os.str();
 }
 
-BasisSet::BasisSet(std::size_t dimension, std::vector<BasisTerm> terms)
-    : dimension_(dimension), terms_(std::move(terms)) {
-  for (const auto& t : terms_)
-    for (const auto& f : t.factors)
-      if (f.var >= dimension_ || f.degree == 0)
-        throw std::invalid_argument(
-            "BasisSet: factor variable out of range or zero degree");
-}
-
 BasisSet BasisSet::linear(std::size_t dimension) {
   std::vector<BasisTerm> terms;
   terms.reserve(dimension + 1);
@@ -107,32 +98,29 @@ std::size_t BasisSet::constant_index() const {
   return terms_.size();
 }
 
-std::size_t BasisSet::add_term(BasisTerm term) {
-  for (const auto& f : term.factors)
-    if (f.var >= dimension_ || f.degree == 0)
-      throw std::invalid_argument("BasisSet::add_term: bad factor");
-  terms_.push_back(std::move(term));
-  return terms_.size() - 1;
-}
-
 namespace {
 // Rows per evaluation block: the Hermite recurrence runs lane-parallel
 // across this many sample points per (variable, degree-sweep) call, and
 // the per-variable value table stays L1/L2-resident. A block boundary
 // never changes a row's result — every point's recurrence is independent
 // and short tails run through the padded full-lane path — so the choice is
-// pure tuning, not semantics.
+// pure tuning, not semantics. It is also the thread-pool grain of both
+// design-matrix loops: a batch of at most this many rows is one chunk and
+// runs inline on the caller (no worker wake-up or join), and larger
+// batches split on block boundaries.
 constexpr std::size_t kEvalBlockRows = 64;
+}  // namespace
 
-// Shared evaluation plan for design_matrix / design_matrix_times: each
-// distinct (var, degree) factor gets one slot, so a factor shared by many
-// terms (e.g. H1(x_r) appearing in both the linear and every mixed term of
-// a quadratic set) is evaluated once per sample. Slots are listed per term
-// in the term's own factor order, keeping the product order — and hence
-// the result bits — identical to evaluating term-by-term. Slots are then
-// grouped by variable: one lane-parallel recurrence sweep per (variable,
-// row block) produces every degree of that variable at once, and slot s
-// reads its values at vals[slot_val_offset[s] + p] for row p of the block.
+// Shared evaluation plan for design_matrix / design_matrix_times, built
+// once per BasisSet: each distinct (var, degree) factor gets one slot, so
+// a factor shared by many terms (e.g. H1(x_r) appearing in both the linear
+// and every mixed term of a quadratic set) is evaluated once per sample.
+// Slots are listed per term in the term's own factor order, keeping the
+// product order — and hence the result bits — identical to evaluating
+// term-by-term. Slots are then grouped by variable: one lane-parallel
+// recurrence sweep per (variable, row block) produces every degree of that
+// variable at once, and slot s reads its values at
+// vals[slot_val_offset[s] + p] for row p of the block.
 struct EvalPlan {
   struct VarGroup {
     std::size_t var;
@@ -156,14 +144,15 @@ struct EvalPlan {
   }
 };
 
-EvalPlan build_plan(const BasisSet& basis) {
-  const std::size_t m = basis.size();
+namespace {
+EvalPlan build_plan(const std::vector<BasisTerm>& terms) {
+  const std::size_t m = terms.size();
   EvalPlan plan;
   plan.term_offsets.assign(m + 1, 0);
   std::map<std::pair<std::size_t, unsigned>, std::size_t> slot_of;
   std::vector<VarDegree> slot_factors;
   for (std::size_t j = 0; j < m; ++j) {
-    for (const auto& f : basis.term(j).factors) {
+    for (const auto& f : terms[j].factors) {
       auto [it, inserted] =
           slot_of.try_emplace({f.var, f.degree}, slot_factors.size());
       if (inserted) slot_factors.push_back(f);
@@ -192,15 +181,28 @@ EvalPlan build_plan(const BasisSet& basis) {
 }
 }  // namespace
 
+BasisSet::BasisSet() : BasisSet(0, {}) {}
+
+BasisSet::BasisSet(std::size_t dimension, std::vector<BasisTerm> terms)
+    : dimension_(dimension), terms_(std::move(terms)) {
+  for (const auto& t : terms_)
+    for (const auto& f : t.factors)
+      if (f.var >= dimension_ || f.degree == 0)
+        throw std::invalid_argument(
+            "BasisSet: factor variable out of range or zero degree");
+  plan_ = std::make_shared<const EvalPlan>(build_plan(terms_));
+}
+
 linalg::Matrix design_matrix(const BasisSet& basis,
                              const linalg::Matrix& points) {
   LINALG_REQUIRE(points.cols() == basis.dimension(),
                  "design_matrix: point dimension mismatch");
   const std::size_t k = points.rows(), m = basis.size();
-  const EvalPlan plan = build_plan(basis);
+  const EvalPlan& plan = *basis.plan_;
 
   linalg::Matrix g(k, m);
-  parallel::parallel_for(0, k, 0, [&](std::size_t r0, std::size_t r1) {
+  parallel::parallel_for(0, k, kEvalBlockRows, [&](std::size_t r0,
+                                                   std::size_t r1) {
     std::vector<double> vals(plan.table_size);
     std::vector<double> xs(kEvalBlockRows);
     for (std::size_t i0 = r0; i0 < r1; i0 += kEvalBlockRows) {
@@ -228,7 +230,7 @@ void design_matrix_times(const BasisSet& basis, const linalg::Matrix& points,
   LINALG_REQUIRE(coeffs.size() == basis.size(),
                  "design_matrix_times: coefficient count mismatch");
   const std::size_t k = points.rows(), m = basis.size();
-  const EvalPlan plan = build_plan(basis);
+  const EvalPlan& plan = *basis.plan_;
   out.resize(k);
 
   // Fused G(points) * coeffs without materializing G: per row block, the
@@ -241,7 +243,8 @@ void design_matrix_times(const BasisSet& basis, const linalg::Matrix& points,
   // agrees with the materialized design_matrix + gemv path numerically
   // (~1 ulp per term), not bitwise.
   const linalg::kernels::KernelTable& kt = linalg::kernels::active();
-  parallel::parallel_for(0, k, 0, [&](std::size_t r0, std::size_t r1) {
+  parallel::parallel_for(0, k, kEvalBlockRows, [&](std::size_t r0,
+                                                   std::size_t r1) {
     std::vector<double> vals(plan.table_size);
     std::vector<double> xs(kEvalBlockRows);
     std::vector<double> acc(kEvalBlockRows);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,12 @@
 #include "linalg/matrix.hpp"
 
 namespace bmf::basis {
+
+/// Largest factor degree the model decoders (BMFB and the text format)
+/// accept. Evaluation sizes a (degree + 1) x 64-double value table per
+/// variable, so an unbounded degree read from untrusted bytes would be an
+/// allocation of the sender's choosing. In-memory bases are not bounded.
+inline constexpr unsigned kMaxFactorDegree = 1024;
 
 /// One (variable, degree) factor of a basis term; degree >= 1.
 struct VarDegree {
@@ -41,10 +48,18 @@ struct BasisTerm {
   bool operator==(const BasisTerm&) const = default;
 };
 
-/// Ordered collection of basis terms over `dimension()` variables.
+/// Evaluation plan shared by design_matrix / design_matrix_times; defined
+/// in basis_set.cpp.
+struct EvalPlan;
+
+/// Ordered, immutable collection of basis terms over `dimension()`
+/// variables. The constructor builds the basis's evaluation plan once;
+/// copies share it read-only, so evaluating never rebuilds it and any
+/// number of threads may evaluate one basis at once.
 class BasisSet {
  public:
-  BasisSet() = default;
+  /// The empty basis (no terms, dimension 0).
+  BasisSet();
   BasisSet(std::size_t dimension, std::vector<BasisTerm> terms);
 
   /// {1, x_1, ..., x_R}: the linear model of the paper's experiments.
@@ -69,13 +84,17 @@ class BasisSet {
   /// Index of the constant term, or size() if absent.
   std::size_t constant_index() const;
 
-  /// Append a term (used when late-stage bases extend the early set);
-  /// returns its index.
-  std::size_t add_term(BasisTerm term);
-
  private:
+  friend linalg::Matrix design_matrix(const BasisSet& basis,
+                                      const linalg::Matrix& points);
+  friend void design_matrix_times(const BasisSet& basis,
+                                  const linalg::Matrix& points,
+                                  const linalg::Vector& coeffs,
+                                  linalg::Vector& out);
+
   std::size_t dimension_ = 0;
   std::vector<BasisTerm> terms_;
+  std::shared_ptr<const EvalPlan> plan_;
 };
 
 /// Design matrix G (Eq. 9): G(k, m) = g_m(x^(k)).
@@ -89,8 +108,9 @@ linalg::Matrix design_matrix(const BasisSet& basis,
 /// independently of thread chunking and row-block position, so the result
 /// is bit-identical at any thread count; it agrees with
 /// design_matrix + gemv numerically (the summation orders differ), not
-/// bitwise. The out-param overload resizes `out` to K and reuses its
-/// storage across calls.
+/// bitwise. A batch of at most 64 rows runs on the calling thread; longer
+/// ones split over the thread pool on 64-row boundaries. The out-param
+/// overload resizes `out` to K and reuses its storage across calls.
 void design_matrix_times(const BasisSet& basis, const linalg::Matrix& points,
                          const linalg::Vector& coeffs, linalg::Vector& out);
 linalg::Vector design_matrix_times(const BasisSet& basis,

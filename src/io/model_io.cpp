@@ -1,8 +1,11 @@
 #include "io/model_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace bmf::io {
 
@@ -14,6 +17,16 @@ constexpr const char* kMagicV2 = "bmf-model v2";
 // Windows toolchain must not grow a '\r' inside its last token.
 void strip_trailing_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
+}
+
+// Parse a whole factor field as an unsigned decimal that fits T: digits
+// only (no sign, no whitespace) and no wrap-around, so "-1" and
+// "4294967297" fail instead of loading as a different model.
+template <typename T>
+bool parse_field(std::string_view field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 }  // namespace
 
@@ -80,18 +93,19 @@ basis::PerformanceModel load_model(const std::string& path) {
     std::string factor;
     while (ls >> factor) {
       const auto colon = factor.find(':');
-      if (colon == std::string::npos)
+      const std::string_view text(factor);
+      std::size_t var = 0;
+      unsigned degree = 0;
+      if (colon == std::string::npos ||
+          !parse_field(text.substr(0, colon), var) ||
+          !parse_field(text.substr(colon + 1), degree))
         throw std::runtime_error("load_model: malformed factor '" + factor +
                                  "'");
-      try {
-        const std::size_t var = std::stoull(factor.substr(0, colon));
-        const unsigned degree =
-            static_cast<unsigned>(std::stoul(factor.substr(colon + 1)));
-        term.factors.push_back({var, degree});
-      } catch (const std::exception&) {
-        throw std::runtime_error("load_model: malformed factor '" + factor +
-                                 "'");
-      }
+      if (degree > basis::kMaxFactorDegree)
+        throw std::runtime_error(
+            "load_model: factor '" + factor + "' exceeds the degree bound " +
+            std::to_string(basis::kMaxFactorDegree) + " in " + path);
+      term.factors.push_back({var, degree});
     }
     terms.push_back(std::move(term));
     coeffs.push_back(coeff);

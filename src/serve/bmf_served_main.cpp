@@ -1,8 +1,8 @@
 // bmf_served — the model-serving daemon.
 //
 //   bmf_served [--socket /tmp/bmf.sock] [--tcp HOST:PORT]
-//              [--capacity 64] [--timeout-ms 5000] [--block-rows 2048]
-//              [--workers 4] [--max-pending 8] [--max-connections N]
+//              [--capacity 64] [--timeout-ms 5000] [--workers 4]
+//              [--max-pending 8] [--max-connections N]
 //              [--max-pipeline 128] [--tcp-announce <file>] [--quiet]
 //              [--store DIR] [--store-sync always|interval|never]
 //              [--store-snapshot-bytes N]
@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   if (socket_path.empty() && tcp_address.empty()) {
     std::fprintf(stderr,
                  "usage: %s [--socket <path>] [--tcp <host:port>]"
-                 " [--capacity N] [--timeout-ms N] [--block-rows N]"
-                 " [--workers N] [--max-pending N] [--max-connections N]"
+                 " [--capacity N] [--timeout-ms N] [--workers N]"
+                 " [--max-pending N] [--max-connections N]"
                  " [--max-pipeline N] [--tcp-announce <file>] [--quiet]"
                  " [--store DIR] [--store-sync always|interval|never]"
                  " [--store-snapshot-bytes N]\n"
@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("capacity", 64));
   options.request_timeout_ms =
       static_cast<int>(args.get_int("timeout-ms", 5000));
-  options.evaluator_block_rows =
-      static_cast<std::size_t>(args.get_int("block-rows", 2048));
   options.worker_threads =
       static_cast<std::size_t>(args.get_int("workers", 4));
   options.max_pending =

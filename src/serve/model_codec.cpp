@@ -150,6 +150,10 @@ FittedModel deserialize_model(const std::uint8_t* data, std::size_t size) {
                 std::to_string(dimension) + " model");
       if (degree == 0)
         corrupt("term " + std::to_string(m) + " has a degree-0 factor");
+      if (degree > basis::kMaxFactorDegree)
+        corrupt("term " + std::to_string(m) + " has a degree-" +
+                std::to_string(degree) + " factor (bound " +
+                std::to_string(basis::kMaxFactorDegree) + ")");
       terms[m].factors.push_back({var, degree});
     }
   }

@@ -213,8 +213,7 @@ bool ComputeStage::drain_pending() {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      registry_(options_.registry_capacity),
-      evaluator_(options_.evaluator_block_rows) {
+      registry_(options_.registry_capacity) {
   if (options_.worker_threads == 0) options_.worker_threads = 1;
   if (options_.max_pipeline == 0) options_.max_pipeline = 1;
   if (!options_.store_dir.empty()) {

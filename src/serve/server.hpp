@@ -49,8 +49,6 @@ struct ServerOptions {
   int request_timeout_ms = 5000;
   /// Upper bound on a request/response frame payload.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Rows per design-matrix tile in the evaluator.
-  std::size_t evaluator_block_rows = 2048;
   /// Compute-stage worker threads behind the event loop.
   std::size_t worker_threads = 4;
   /// Accepted connections allowed to wait (parked, unread) for an active

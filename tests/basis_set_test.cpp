@@ -3,11 +3,51 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
+#include "basis/model.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
 
 namespace bmf::basis {
 namespace {
+
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(std::size_t n) { parallel::set_num_threads(n); }
+  ~ScopedThreads() { parallel::set_num_threads(0); }
+};
+
+linalg::Matrix random_points(std::size_t rows, std::size_t cols,
+                             std::uint64_t seed) {
+  stats::Rng rng(seed);
+  linalg::Matrix pts(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) pts(i, j) = rng.normal();
+  return pts;
+}
+
+linalg::Vector random_coeffs(std::size_t n, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  linalg::Vector c(n);
+  for (double& v : c) v = rng.normal();
+  return c;
+}
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
+bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         same_bits(a.data(), b.data(), a.rows() * a.cols());
+}
 
 TEST(BasisTerm, ConstantTerm) {
   BasisTerm t;
@@ -66,16 +106,9 @@ TEST(BasisSet, LinearPlusDiagonalQuadratic) {
 TEST(BasisSet, ValidatesFactors) {
   EXPECT_THROW(BasisSet(2, {BasisTerm{{{2, 1u}}}}), std::invalid_argument);
   EXPECT_THROW(BasisSet(2, {BasisTerm{{{0, 0u}}}}), std::invalid_argument);
-  BasisSet b = BasisSet::linear(2);
-  EXPECT_THROW(b.add_term(BasisTerm{{{5, 1u}}}), std::invalid_argument);
-}
-
-TEST(BasisSet, AddTermAppends) {
-  BasisSet b = BasisSet::linear(2);
-  const std::size_t idx = b.add_term(BasisTerm{{{0, 2u}}});
-  EXPECT_EQ(idx, 3u);
-  EXPECT_EQ(b.size(), 4u);
-  EXPECT_EQ(b.term(idx).to_string(), "H2(x0)");
+  std::vector<BasisTerm> terms = BasisSet::linear(2).terms();
+  terms.push_back(BasisTerm{{{5, 1u}}});
+  EXPECT_THROW(BasisSet(2, terms), std::invalid_argument);
 }
 
 TEST(DesignMatrix, MatchesElementwiseEvaluation) {
@@ -98,6 +131,98 @@ TEST(DesignMatrix, DimensionMismatchThrows) {
   BasisSet b = BasisSet::linear(3);
   linalg::Matrix pts(5, 2);
   EXPECT_THROW(design_matrix(b, pts), std::invalid_argument);
+}
+
+TEST(DesignMatrix, BitIdenticalAcrossThreadsAtBlockEdges) {
+  // Both loops chunk on 64-row evaluation blocks: batches of at most one
+  // block run inline on the caller, longer ones split on block
+  // boundaries. Neither may move a bit at any thread count.
+  const std::vector<BasisSet> bases = {BasisSet::linear(24),
+                                       BasisSet::total_degree(4, 3)};
+  for (const BasisSet& b : bases) {
+    const linalg::Vector coeffs = random_coeffs(b.size(), 11);
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{63},
+                                   std::size_t{64}, std::size_t{65},
+                                   std::size_t{128}, std::size_t{129},
+                                   std::size_t{500}}) {
+      const linalg::Matrix pts = random_points(rows, b.dimension(), rows);
+      linalg::Matrix g1;
+      linalg::Vector f1;
+      {
+        ScopedThreads threads(1);
+        g1 = design_matrix(b, pts);
+        f1 = design_matrix_times(b, pts, coeffs);
+      }
+      for (const std::size_t n : {std::size_t{2}, std::size_t{4}}) {
+        ScopedThreads threads(n);
+        EXPECT_TRUE(same_bits(design_matrix(b, pts), g1))
+            << "M=" << b.size() << " rows=" << rows << " threads=" << n;
+        EXPECT_TRUE(same_bits(design_matrix_times(b, pts, coeffs), f1))
+            << "M=" << b.size() << " rows=" << rows << " threads=" << n;
+      }
+    }
+  }
+}
+
+TEST(DesignMatrixTimes, ConcurrentCallersShareOnePlan) {
+  // Three callers evaluate one shared model at once, as three serving
+  // shards in one process do: the evaluation plan is read-only, so every
+  // call reproduces the serial bytes (and the TSan build sees no race).
+  const BasisSet basis = BasisSet::total_degree(4, 3);
+  const PerformanceModel model(basis, random_coeffs(basis.size(), 12));
+  constexpr std::size_t kCallers = 3;
+  std::vector<linalg::Matrix> batches;
+  std::vector<linalg::Vector> expected;
+  {
+    ScopedThreads threads(1);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      batches.push_back(random_points(64, 4, 100 + c));
+      expected.push_back(design_matrix_times(model.basis(), batches[c],
+                                             model.coefficients()));
+    }
+  }
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      linalg::Vector out;
+      for (int i = 0; i < 200; ++i) {
+        design_matrix_times(model.basis(), batches[c], model.coefficients(),
+                            out);
+        if (!same_bits(out, expected[c])) ++mismatches[c];
+      }
+    });
+  for (std::thread& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c)
+    EXPECT_EQ(mismatches[c], 0) << "caller " << c;
+}
+
+TEST(BasisSet, CopyEvaluatesLikeOriginal) {
+  const linalg::Matrix pts = random_points(130, 4, 13);
+  linalg::Vector coeffs;
+  linalg::Matrix g;
+  linalg::Vector f;
+  BasisSet copy;
+  {
+    const BasisSet original = BasisSet::total_degree(4, 3);
+    coeffs = random_coeffs(original.size(), 14);
+    g = design_matrix(original, pts);
+    f = design_matrix_times(original, pts, coeffs);
+    copy = original;
+  }  // the copy outlives the original and keeps the plan alive
+  EXPECT_TRUE(same_bits(design_matrix(copy, pts), g));
+  EXPECT_TRUE(same_bits(design_matrix_times(copy, pts, coeffs), f));
+}
+
+TEST(BasisSet, DefaultConstructedEvaluates) {
+  const BasisSet b;
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.dimension(), 0u);
+  const linalg::Matrix pts(3, 0);
+  const linalg::Matrix g = design_matrix(b, pts);
+  EXPECT_EQ(g.rows(), 3u);
+  EXPECT_EQ(g.cols(), 0u);
+  EXPECT_EQ(design_matrix_times(b, pts, {}), linalg::Vector(3, 0.0));
 }
 
 class BasisOrthonormality : public ::testing::TestWithParam<unsigned> {};

@@ -93,6 +93,50 @@ TEST(ModelIo, LoadRejectsOutOfRangeVariable) {
   std::remove(path.c_str());
 }
 
+// Writes a v1 model of dimension 1 whose one non-constant term carries
+// `factor`, and returns what load_model says about it ("" if it loads).
+std::string load_error(const std::string& factor) {
+  const std::string path = temp_path("factor.bmfmodel");
+  {
+    std::ofstream os(path);
+    os << "bmf-model v1\ndimension 1\nterm 0.5\nterm 1.0 " << factor
+       << "\n";
+  }
+  std::string error;
+  try {
+    load_model(path);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  std::remove(path.c_str());
+  return error;
+}
+
+TEST(ModelIo, LoadRejectsFactorDegreeOverBound) {
+  // Evaluation sizes a (degree + 1) x 64-double table per variable, so a
+  // file must not be able to ask for an arbitrary one.
+  EXPECT_EQ(load_error("0:" + std::to_string(basis::kMaxFactorDegree)), "");
+  for (const std::string& degree :
+       {std::to_string(basis::kMaxFactorDegree + 1), std::string("1048576"),
+        std::string("4294967295")}) {
+    const std::string error = load_error("0:" + degree);
+    EXPECT_NE(error.find("degree bound"), std::string::npos)
+        << degree << ": " << error;
+  }
+}
+
+TEST(ModelIo, LoadRejectsSignedOrOversizedFactorFields) {
+  // "0:-1" used to load as degree 4294967295 and "0:4294967297" as degree
+  // 1, a different model. Both fields are unsigned digits, range-checked.
+  for (const char* factor :
+       {"0:-1", "0:4294967297", "0:+1", "-1:1", "0:1x", "0:", ":1",
+        "18446744073709551616:1"}) {
+    const std::string error = load_error(factor);
+    EXPECT_NE(error.find("malformed factor"), std::string::npos)
+        << factor << ": " << error;
+  }
+}
+
 // The v2 format declares its term count and ends with an explicit
 // trailer, so a partially written or truncated file can never load as a
 // smaller-but-valid model.

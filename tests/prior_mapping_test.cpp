@@ -78,9 +78,9 @@ TEST(MultifingerMap, ParasiticTermsGetMissingPrior) {
 }
 
 TEST(MultifingerMap, RejectsNonlinearEarlyModel) {
-  auto b = basis::BasisSet::linear(1);
-  b.add_term(basis::BasisTerm{{{0, 2u}}});
-  basis::PerformanceModel early(b, {1.0, 2.0, 0.5});
+  auto terms = basis::BasisSet::linear(1).terms();
+  terms.push_back(basis::BasisTerm{{{0, 2u}}});
+  basis::PerformanceModel early(basis::BasisSet(1, terms), {1.0, 2.0, 0.5});
   MultifingerMap map({2});
   EXPECT_THROW(map.map_linear_model(early), std::invalid_argument);
 }

@@ -156,6 +156,38 @@ TEST(ServeCodec, RejectsBadFactors) {
   }
 }
 
+// A constant plus one factor of the given degree: an 81-byte blob.
+FittedModel one_factor_model(unsigned degree) {
+  FittedModel fitted;
+  fitted.model = basis::PerformanceModel(
+      basis::BasisSet(1, {basis::BasisTerm{}, basis::BasisTerm{{{0, degree}}}}),
+      {0.5, 1.0});
+  return fitted;
+}
+
+TEST(ServeCodec, RejectsFactorDegreeOverBound) {
+  // Evaluation sizes a (degree + 1) x 64-double table per variable: a
+  // degree-2^20 factor decoded here used to cost a 1-row evaluate 512 MiB
+  // and over half a second, and degree 2^32 - 1 asked for 2 TiB.
+  const FittedModel at_bound = one_factor_model(basis::kMaxFactorDegree);
+  const FittedModel r = deserialize_model(serialize_model(at_bound));
+  EXPECT_EQ(r.model.basis().term(1), at_bound.model.basis().term(1));
+  for (const unsigned degree :
+       {basis::kMaxFactorDegree + 1, 1u << 20, 0xFFFFFFFFu}) {
+    const auto blob = serialize_model(one_factor_model(degree));
+    ASSERT_EQ(blob.size(), 81u);
+    try {
+      deserialize_model(blob);
+      FAIL() << "degree " << degree << " decoded";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.status(), Status::kCorruptModel);
+      EXPECT_NE(e.message().find("degree-" + std::to_string(degree)),
+                std::string::npos)
+          << e.message();
+    }
+  }
+}
+
 TEST(ServeCodec, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/codec.bmfb";
   const FittedModel m = make_model(11);
