@@ -63,7 +63,8 @@ CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
     : CvEngine(g, f, PriorKernel(g, prior), options) {}
 
 CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
-                   const PriorKernel& kernel, const CvOptions& options)
+                   const PriorKernel& kernel, const CvOptions& options,
+                   const std::function<void()>& alongside)
     : g_(&g) {
   LINALG_REQUIRE(g.rows() == f.size(), "CvEngine: rhs size mismatch");
   LINALG_REQUIRE(kernel.b.rows() == g.rows() && kernel.b.cols() == g.rows() &&
@@ -88,11 +89,16 @@ CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
   folds_.resize(options.folds);
   // Folds are independent: each gathers its blocks of B, eigendecomposes
   // its training block and projects the test side into a preassigned
-  // folds_ slot.
-  parallel::parallel_for(0, options.folds, 1, [&](std::size_t f0,
-                                                  std::size_t f1) {
-    for (std::size_t fi = f0; fi < f1; ++fi)
-      build_fold(kfold, fi, f, kernel.b);
+  // folds_ slot. Task 0 is `alongside`; the pool hands out tasks in index
+  // order, so it starts first.
+  parallel::parallel_for(alongside ? 0 : 1, options.folds + 1, 1,
+                         [&](std::size_t t0, std::size_t t1) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      if (t == 0)
+        alongside();
+      else
+        build_fold(kfold, t - 1, f, kernel.b);
+    }
   });
 }
 

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -73,9 +74,13 @@ class CvEngine {
            const CoefficientPrior& prior, const CvOptions& options);
 
   /// Builds from the fit's precomputed `kernel`, which must be
-  /// PriorKernel(g, prior); it is only read during construction.
+  /// PriorKernel(g, prior); it is only read during construction. A
+  /// non-empty `alongside` runs as task 0 of the fold-build pool loop, so
+  /// it starts first and overlaps the fold eigensolves; it must not touch
+  /// the engine, and an exception it throws propagates like a fold's.
   CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
-           const PriorKernel& kernel, const CvOptions& options);
+           const PriorKernel& kernel, const CvOptions& options,
+           const std::function<void()>& alongside = {});
 
   /// Evaluate the CV error over the tau grid for a prior with mean `mu`
   /// (pass an all-zero vector for the zero-mean prior — detected and

@@ -1,5 +1,6 @@
 #include "bmf/fusion.hpp"
 
+#include <functional>
 #include <stdexcept>
 
 #include "check/contracts.hpp"
@@ -96,8 +97,16 @@ const PriorKernel& BmfFitter::kernel() const {
 
 CvEngine& BmfFitter::engine() {
   require_data();
-  if (!engine_)
-    engine_ = std::make_unique<CvEngine>(g_, f_, kernel(), options_.cv);
+  if (!engine_) {
+    // Every curve is followed by a MAP solve, so a missing workspace is
+    // built as the first task of the engine's fold loop: its K x K
+    // eigensolve overlaps the fold eigensolves instead of running after
+    // them with the other threads idle.
+    std::function<void()> build_workspace;
+    if (!workspace_) build_workspace = [this] { (void)workspace(); };
+    engine_ = std::make_unique<CvEngine>(g_, f_, kernel(), options_.cv,
+                                         build_workspace);
+  }
   return *engine_;
 }
 
@@ -116,9 +125,10 @@ const MapSolverWorkspace& BmfFitter::workspace() const {
     // The ZM and NZM priors share the precision scale q, so the workspace is
     // built from the fit's kernel with the ZM mean (zero) and the NZM mean is
     // projected once and cached alongside.
-    workspace_ = std::make_unique<MapSolverWorkspace>(g_, f_, kernel(),
-                                                      zm_prior_.mean());
-    nzm_mean_ = workspace_->project_mean(nzm_prior_.mean());
+    auto ws = std::make_unique<MapSolverWorkspace>(g_, f_, kernel(),
+                                                   zm_prior_.mean());
+    nzm_mean_ = ws->project_mean(nzm_prior_.mean());
+    workspace_ = std::move(ws);
   }
   return *workspace_;
 }

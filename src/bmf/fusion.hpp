@@ -13,12 +13,19 @@
 //
 // The ZM and NZM priors share the precision scale q, so one lazily-built
 // PriorKernel B = G diag(1/q) G^T (K x K) serves the whole fit: the CV
-// engine — built lazily and shared between the two priors — gathers every
-// fold's blocks from it, and every MAP solve goes through one lazily-built
-// MapSolverWorkspace that eigendecomposes the same B. Every
-// fit_at(kind, tau) query and the final fit then cost O(K^2 + K M) per
-// solve, and B is computed once per design matrix. map_solve_direct
-// (bmf/map_solver.hpp) is the dense reference the tests hold fit_at to.
+// engine (shared between the two priors) gathers every fold's blocks from
+// it, and every MAP solve goes through one MapSolverWorkspace that
+// eigendecomposes the same B. Every fit_at(kind, tau) query and the final
+// fit then cost O(K^2 + K M) per solve, and B is computed once per design
+// matrix. map_solve_direct (bmf/map_solver.hpp) is the dense reference the
+// tests hold fit_at to.
+//
+// Both caches are built on first use. Every caller of a CV curve goes on to
+// a MAP solve, so the first curve builds the engine and, if it is not built
+// yet, the workspace in one pool loop: the workspace's K x K eigensolve is
+// its first (largest) task, the N fold eigensolves the rest. A fit_at-only
+// tau sweep builds the workspace alone; a later curve then builds only the
+// folds.
 #pragma once
 
 #include <memory>
@@ -67,6 +74,11 @@ class BmfFitter {
   /// Construct from a prior-mapping result (Section IV-A).
   BmfFitter(const MappedPrior& mapped, FusionOptions options = {});
 
+  // The engine and the workspace keep pointers to this object's design
+  // matrix, and the workspace build runs as a pool task on `this`.
+  BmfFitter(const BmfFitter&) = delete;
+  BmfFitter& operator=(const BmfFitter&) = delete;
+
   /// Bind the K late-stage samples; builds the design matrix G once.
   void set_data(const linalg::Matrix& points, const linalg::Vector& f);
 
@@ -91,8 +103,10 @@ class BmfFitter {
   void require_data() const;
   /// Lazily-built kernel of (g_, q); shared by the engine and workspace.
   const PriorKernel& kernel() const;
+  /// Lazily-built CV engine; its build also builds a missing workspace.
   CvEngine& engine();
   /// Lazily-built amortized solver over (g_, f_, q); shared by both priors.
+  /// Assigned only once complete, so a failed build leaves none behind.
   const MapSolverWorkspace& workspace() const;
 
   basis::BasisSet late_basis_;
@@ -108,7 +122,7 @@ class BmfFitter {
   std::unique_ptr<CvEngine> engine_;
   std::optional<CvCurve> zm_curve_;
   std::optional<CvCurve> nzm_curve_;
-  // Amortized MAP solver state, built on first fit_at
+  // Amortized MAP solver state, built with the engine or on first fit_at
   // (mutable: fit_at is logically const — the cache only changes cost).
   mutable std::unique_ptr<MapSolverWorkspace> workspace_;
   mutable std::optional<MapSolverWorkspace::ProjectedMean> nzm_mean_;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "linalg/kernels/kernels.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace bmf::linalg {
 namespace {
@@ -188,6 +194,48 @@ TEST(Blas, GemvFamilyMatchesNaiveAboveParallelCutoff) {
     EXPECT_NEAR(yt[i], st, 1e-10);
     EXPECT_NEAR(ys[i], ss, 1e-10);
   }
+}
+
+TEST(Blas, OuterGramWeightedIsItsPerEntryDefinition) {
+  // The kernel is computed in blocks of output rows; every entry must still
+  // be exactly dot(g_i .* d, g_j) over all M terms, with the lower triangle
+  // mirrored. M is wide enough that a block holds only a few rows, so K
+  // spans several blocks and a ragged tail, and K^2 M / 2 is above the
+  // parallel flop cutoff.
+  const std::size_t k = 70, m = 6001;
+  const Matrix g = fill(k, m, 0.9);
+  Vector d(m);
+  for (std::size_t p = 0; p < m; ++p)
+    d[p] = 0.25 + std::abs(std::cos(0.3 * static_cast<double>(p)));
+
+  const kernels::SimdLevel restore = kernels::dispatch_info().active;
+  for (kernels::SimdLevel level :
+       {kernels::SimdLevel::kScalar, kernels::SimdLevel::kAvx2,
+        kernels::SimdLevel::kAvx512}) {
+    if (!kernels::level_available(level)) continue;
+    EXPECT_TRUE(kernels::force_active_level(level));
+    const kernels::KernelTable& kt = kernels::active();
+    std::vector<double> scaled(m);
+    Matrix want(k, k);
+    for (std::size_t i = 0; i < k; ++i) {
+      kt.mul(g.row_ptr(i), d.data(), scaled.data(), m);
+      for (std::size_t j = i; j < k; ++j)
+        want(i, j) = want(j, i) = kt.dot(scaled.data(), g.row_ptr(j), m);
+    }
+    for (std::size_t threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      const Matrix c = outer_gram_weighted(g, d);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < k; ++i)
+        for (std::size_t j = 0; j < k; ++j)
+          mismatches += std::bit_cast<std::uint64_t>(c(i, j)) !=
+                        std::bit_cast<std::uint64_t>(want(i, j));
+      EXPECT_EQ(mismatches, 0u) << kernels::level_name(level) << " at "
+                                << threads << " threads";
+    }
+  }
+  parallel::set_num_threads(0);
+  kernels::force_active_level(restore);
 }
 
 }  // namespace

@@ -4,15 +4,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "bmf/map_solver.hpp"
 #include "linalg/blas.hpp"
+#include "parallel/thread_pool.hpp"
 #include "regress/omp.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 
 namespace bmf::core {
 namespace {
+
+// The CV engine and the MAP workspace point into the fitter's own design
+// matrix, so a moved or copied fitter would read through a dead one.
+static_assert(!std::is_copy_constructible_v<BmfFitter>);
+static_assert(!std::is_move_constructible_v<BmfFitter>);
 
 // Synthetic early/late pair: sparse late truth, early = perturbed late.
 struct Scenario {
@@ -304,6 +312,95 @@ TEST(Fusion, DirectAndFastSolversGiveSameModel) {
       fitter.design(), s.train_f, prior, fast.report.chosen_tau);
   for (std::size_t j = 0; j < s.early.size(); ++j)
     EXPECT_NEAR(fast.model.coefficients()[j], direct[j], 1e-6);
+}
+
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Fusion, AccessorOrderNeverChangesTheFit) {
+  // Whichever accessor comes first decides what the fitter builds together:
+  // a curve builds the CV engine and the MAP workspace in one pool loop,
+  // fit_at builds the workspace alone, and fit() reaches the engine first.
+  // K^2 M / 2 is above the parallel flop cutoff, so the 4-thread runs split
+  // the kernel build as well.
+  Scenario s = make_scenario(80, 50, 0.1, 0.02, 17);
+  struct Observed {
+    FusionResult fit;
+    linalg::Vector zm_at, nzm_at;
+  };
+  enum class Order { kCurvesFirst, kFitAtFirst, kFitOnly };
+  auto run = [&](Order order) {
+    BmfFitter fitter(s.basis, s.early, {}, {});
+    fitter.set_data(s.train_points, s.train_f);
+    Observed o;
+    if (order == Order::kCurvesFirst) {
+      (void)fitter.zero_mean_curve();
+      (void)fitter.nonzero_mean_curve();
+    }
+    if (order == Order::kFitAtFirst) {
+      o.zm_at = fitter.fit_at(PriorKind::kZeroMean, 0.5).coefficients();
+      o.nzm_at = fitter.fit_at(PriorKind::kNonzeroMean, 0.5).coefficients();
+    }
+    o.fit = fitter.fit(PriorSelection::kAuto);
+    if (order != Order::kFitAtFirst) {
+      o.zm_at = fitter.fit_at(PriorKind::kZeroMean, 0.5).coefficients();
+      o.nzm_at = fitter.fit_at(PriorKind::kNonzeroMean, 0.5).coefficients();
+    }
+    return o;
+  };
+
+  parallel::set_num_threads(1);
+  const Observed want = run(Order::kCurvesFirst);
+  ASSERT_TRUE(want.fit.report.zm_curve && want.fit.report.nzm_curve);
+  for (std::size_t threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (Order order :
+         {Order::kCurvesFirst, Order::kFitAtFirst, Order::kFitOnly}) {
+      const Observed got = run(order);
+      SCOPED_TRACE(testing::Message() << "order " << static_cast<int>(order)
+                                      << " at " << threads << " threads");
+      EXPECT_EQ(got.fit.report.chosen_kind, want.fit.report.chosen_kind);
+      EXPECT_TRUE(same_bits({got.fit.report.chosen_tau},
+                            {want.fit.report.chosen_tau}));
+      EXPECT_TRUE(
+          same_bits({got.fit.report.cv_error}, {want.fit.report.cv_error}));
+      ASSERT_TRUE(got.fit.report.zm_curve && got.fit.report.nzm_curve);
+      EXPECT_TRUE(same_bits(got.fit.report.zm_curve->errors,
+                            want.fit.report.zm_curve->errors));
+      EXPECT_TRUE(same_bits(got.fit.report.nzm_curve->errors,
+                            want.fit.report.nzm_curve->errors));
+      EXPECT_TRUE(same_bits(got.fit.model.coefficients(),
+                            want.fit.model.coefficients()));
+      EXPECT_TRUE(same_bits(got.zm_at, want.zm_at));
+      EXPECT_TRUE(same_bits(got.nzm_at, want.nzm_at));
+    }
+  }
+  parallel::set_num_threads(0);
+}
+
+TEST(Fusion, FailedEngineBuildLeavesNothingHalfBuilt) {
+  // More folds than samples: building the CV engine throws. The fitter must
+  // keep no partial engine or workspace, so its next fit_at equals a fresh
+  // fitter's bit for bit.
+  Scenario s = make_scenario(20, 6, 0.1, 0.02, 18);
+  FusionOptions options;
+  options.cv.folds = 7;
+  for (std::size_t threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    BmfFitter failed(s.basis, s.early, {}, options);
+    failed.set_data(s.train_points, s.train_f);
+    EXPECT_THROW(failed.zero_mean_curve(), std::invalid_argument);
+    BmfFitter fresh(s.basis, s.early, {}, options);
+    fresh.set_data(s.train_points, s.train_f);
+    for (PriorKind kind : {PriorKind::kZeroMean, PriorKind::kNonzeroMean})
+      EXPECT_TRUE(same_bits(failed.fit_at(kind, 0.5).coefficients(),
+                            fresh.fit_at(kind, 0.5).coefficients()))
+          << "threads=" << threads;
+  }
+  parallel::set_num_threads(0);
 }
 
 }  // namespace
