@@ -36,9 +36,11 @@
 #      worker pool, admission queue, fault engine) — the race-freedom
 #      proof for the paths the chaos suite exercises, again over both
 #      transports — plus basis_set_test, whose concurrent callers share
-#      one model's read-only evaluation plan, and fusion_test and
+#      one model's read-only evaluation plan, fusion_test and
 #      parallel_test, whose BMF-PS fits build the MAP workspace on a pool
-#      worker while other workers build the CV folds.
+#      worker while other workers build the CV folds, and store_test,
+#      whose threads append to one ModelStore the way bmf_served's
+#      workers do.
 #   7. SIMD level matrix: the full Release test suite re-runs with
 #      BMF_SIMD_LEVEL pinned to every level this host can execute (plus
 #      the kernel suite under ASan/UBSan per level), so the scalar and
@@ -149,11 +151,13 @@ echo "== ThreadSanitizer: concurrent serving stack =="
 cmake -S "$src_dir" -B "$src_dir/build-ci-tsan" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBMF_SANITIZE=thread
 cmake --build "$src_dir/build-ci-tsan" -j "$jobs" \
-      --target basis_set_test fusion_test parallel_test serve_server_test \
-               serve_pipeline_test serve_chaos_test router_test
+      --target basis_set_test fusion_test parallel_test store_test \
+               serve_server_test serve_pipeline_test serve_chaos_test \
+               router_test
 "$src_dir/build-ci-tsan/tests/basis_set_test"
 "$src_dir/build-ci-tsan/tests/fusion_test"
 "$src_dir/build-ci-tsan/tests/parallel_test"
+"$src_dir/build-ci-tsan/tests/store_test"
 "$src_dir/build-ci-tsan/tests/serve_server_test"
 "$src_dir/build-ci-tsan/tests/serve_pipeline_test"
 for transport in $transports; do

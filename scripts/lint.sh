@@ -15,8 +15,8 @@
 #      order can never hide a missing dependency.
 #   6. No raw ::read/::write/::send/::recv/::poll/::fsync/::fdatasync/
 #      ::rename outside src/serve/wire.cpp and src/fault — all socket I/O
-#      and every durability syscall (the WAL appends and atomic renames of
-#      src/store, the crash-atomic model save) must flow through the
+#      and every durability syscall (the WAL appends, fsyncs and atomic
+#      snapshot renames of src/store) must flow through the
 #      fault-injection wrappers (fault::sys_*), or the chaos and crash
 #      tests silently stop covering it.
 #   7. No SIMD intrinsics outside src/linalg/kernels/ — wide code is only
@@ -105,7 +105,7 @@ done
 
 # Rule 6: raw syscall I/O outside the wire/fault layer.  Everything that
 # touches a socket — and every durability syscall (src/store WAL appends,
-# snapshot renames, the crash-atomic model save) — must go through
+# fsyncs and snapshot renames) — must go through
 # fault::sys_* so injected faults and crash points cover it.
 for f in $all_sources; do
   case "$f" in

@@ -1,11 +1,10 @@
 // Deterministic fault injection for the socket and filesystem syscall
 // surface.
 //
-// Every read/send/poll/connect/accept — and, for the durable store and
-// atomic model saves, every write/fsync/rename — the serving stack
-// performs goes through the sys_* wrappers below instead of the raw
-// syscalls (enforced by scripts/lint.sh). With no plan armed, a wrapper
-// is the raw syscall
+// Every read/send/poll/connect/accept — and, for the durable store,
+// every write/fsync/rename — the serving stack performs goes through the
+// sys_* wrappers below instead of the raw syscalls (enforced by
+// scripts/lint.sh). With no plan armed, a wrapper is the raw syscall
 // plus one relaxed atomic load; compiled with BMF_FAULT_INJECTION off it
 // is the raw syscall, period — an inline forward with nothing to
 // configure, so production builds can prove the layer costs nothing.
@@ -64,9 +63,9 @@ enum class Site : std::uint8_t {
   kConnect = 3,
   kAccept = 4,
   kEpoll = 5,  // epoll_wait: the event loop's own blocking point
-  // Filesystem sites: the durable store (src/store) and atomic model
-  // saves (src/serve/model_codec.cpp) route their persistence syscalls
-  // here so crash/torn-write recovery is testable deterministically.
+  // Filesystem sites: the durable store (src/store) routes its
+  // persistence syscalls here so crash/torn-write recovery is testable
+  // deterministically.
   kWrite = 6,
   kFsync = 7,
   kRename = 8,

@@ -1,8 +1,27 @@
 #include "io/args.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace bmf::io {
+
+namespace {
+
+/// All of `text` as a T; junk, trailing characters or a value T cannot
+/// hold throw std::invalid_argument naming the flag.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& text,
+              const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument(std::string("bad ") + what + " for --" +
+                                key + ": '" + text + "'");
+  return value;
+}
+
+}  // namespace
 
 Args::Args(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -51,38 +70,32 @@ std::string Args::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-long Args::get_int(const std::string& key, long fallback) const {
+long Args::get_int(const std::string& key, long fallback, long min,
+                   long max) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stol(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer for --" + key + ": '" +
-                                it->second + "'");
-  }
+  const long value = parse_whole<long>(key, it->second, "integer");
+  if (value < min)
+    throw std::invalid_argument("--" + key + " must be >= " +
+                                std::to_string(min) + ", got " + it->second);
+  if (value > max)
+    throw std::invalid_argument("--" + key + " must be <= " +
+                                std::to_string(max) + ", got " + it->second);
+  return value;
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad number for --" + key + ": '" +
-                                it->second + "'");
-  }
+  return it == values_.end() ? fallback
+                             : parse_whole<double>(key, it->second, "number");
 }
 
 std::uint64_t Args::get_seed(const std::string& key,
                              std::uint64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad seed for --" + key + ": '" +
-                                it->second + "'");
-  }
+  return it == values_.end()
+             ? fallback
+             : parse_whole<std::uint64_t>(key, it->second, "seed");
 }
 
 }  // namespace bmf::io

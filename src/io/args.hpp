@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -21,7 +22,15 @@ class Args {
 
   std::string get(const std::string& key,
                   const std::string& fallback = "") const;
-  long get_int(const std::string& key, long fallback) const;
+
+  /// The numeric getters parse the whole value (no sign on a seed, no
+  /// leading blanks, no trailing characters, no wrap-around) and throw
+  /// std::invalid_argument naming the flag otherwise, so "4x" is never
+  /// read as 4 nor "-1" as a huge count. get_int also throws for a value
+  /// outside [min, max]; `fallback` is returned unchecked.
+  long get_int(const std::string& key, long fallback,
+               long min = std::numeric_limits<long>::min(),
+               long max = std::numeric_limits<long>::max()) const;
   double get_double(const std::string& key, double fallback) const;
   std::uint64_t get_seed(const std::string& key,
                          std::uint64_t fallback) const;

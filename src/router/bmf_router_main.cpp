@@ -18,11 +18,14 @@
 // SIGINT/SIGTERM (or a client "shutdown" request) drain the router — the
 // backends are independent daemons and keep running. --tcp-announce
 // mirrors bmf_served's: the resolved endpoint is written to a file once
-// listening. Exit 0 on graceful shutdown, 1 on a startup or fatal error.
+// listening. A malformed or negative number is a usage error. Exit 0 on
+// graceful shutdown, 1 on a usage, startup or fatal error.
 #include <csignal>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 
 #include "fault/fault.hpp"
 #include "io/args.hpp"
@@ -64,19 +67,26 @@ int main(int argc, char** argv) {
   if (options.backends.empty() ||
       (options.socket_path.empty() && options.tcp_address.empty()))
     return usage(args.program());
-  options.replicas = static_cast<std::size_t>(args.get_int("replicas", 2));
-  options.request_timeout_ms =
-      static_cast<int>(args.get_int("timeout-ms", 5000));
-  options.backend_timeout_ms =
-      static_cast<int>(args.get_int("backend-timeout-ms", 5000));
-  options.probe_interval_ms =
-      static_cast<int>(args.get_int("probe-interval-ms", 500));
-  options.max_connections =
-      static_cast<std::size_t>(args.get_int("max-connections", 64));
-  options.max_pending =
-      static_cast<std::size_t>(args.get_int("max-pending", 8));
-  options.max_pipeline =
-      static_cast<std::size_t>(args.get_int("max-pipeline", 128));
+  try {
+    constexpr long kMaxMs = std::numeric_limits<int>::max();
+    options.replicas =
+        static_cast<std::size_t>(args.get_int("replicas", 2, 0));
+    options.request_timeout_ms =
+        static_cast<int>(args.get_int("timeout-ms", 5000, 0, kMaxMs));
+    options.backend_timeout_ms =
+        static_cast<int>(args.get_int("backend-timeout-ms", 5000, 0, kMaxMs));
+    options.probe_interval_ms =
+        static_cast<int>(args.get_int("probe-interval-ms", 500, 0, kMaxMs));
+    options.max_connections =
+        static_cast<std::size_t>(args.get_int("max-connections", 64, 0));
+    options.max_pending =
+        static_cast<std::size_t>(args.get_int("max-pending", 8, 0));
+    options.max_pipeline =
+        static_cast<std::size_t>(args.get_int("max-pipeline", 128, 0));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bmf_router: %s\n", e.what());
+    return usage(args.program());
+  }
   const std::string announce_path = args.get("tcp-announce");
   const bool quiet = args.flag("quiet");
 

@@ -1,19 +1,13 @@
 #include "serve/batch_evaluator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "basis/basis_set.hpp"
 #include "check/contracts.hpp"
 #include "linalg/blas.hpp"
 
 namespace bmf::serve {
-
-BatchEvaluator::BatchEvaluator(std::size_t block_rows)
-    : block_rows_(block_rows) {
-  if (block_rows == 0)
-    throw std::invalid_argument("BatchEvaluator: block_rows must be >= 1");
-}
 
 linalg::Vector BatchEvaluator::evaluate(const basis::PerformanceModel& model,
                                         const linalg::Matrix& points) const {

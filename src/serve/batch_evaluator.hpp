@@ -15,8 +15,6 @@
 // response guarantee rests on.
 #pragma once
 
-#include <cstddef>
-
 #include "basis/model.hpp"
 #include "linalg/matrix.hpp"
 
@@ -24,11 +22,6 @@ namespace bmf::serve {
 
 class BatchEvaluator {
  public:
-  /// `block_rows` must be >= 1. Kept for API compatibility: the fused
-  /// evaluation path blocks rows internally at a fixed size, so the value
-  /// no longer affects either the result bits or the working set.
-  explicit BatchEvaluator(std::size_t block_rows = 2048);
-
   /// f(x) for every row of `points` (B x R; R must match the model's
   /// basis dimension). Returns B predictions in row order.
   linalg::Vector evaluate(const basis::PerformanceModel& model,
@@ -38,11 +31,6 @@ class BatchEvaluator {
   /// across calls — the daemon's steady-state allocation-free path.
   void evaluate_into(const basis::PerformanceModel& model,
                      const linalg::Matrix& points, linalg::Vector& out) const;
-
-  std::size_t block_rows() const { return block_rows_; }
-
- private:
-  std::size_t block_rows_;
 };
 
 }  // namespace bmf::serve

@@ -19,13 +19,16 @@
 // CSV of points (one row per sample) and prints one prediction per line
 // at full precision, or writes them as a single-column CSV with --out;
 // with --pipeline D the batch is split into --chunk-rows row chunks
-// evaluated with D requests in flight on the one connection. Exit status
-// 0 on success, 1 on any error (server-side errors print their
-// structured status/context/message).
+// evaluated with D requests in flight on the one connection. A malformed
+// or negative number, or a zero --chunk-rows, is a usage error, reported
+// before connecting. Exit status 0 on success, 1 on any error (server-side
+// errors print their structured status/context/message).
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,6 +57,25 @@ int usage(const std::string& program) {
       "  shutdown\n",
       program.c_str());
   return 1;
+}
+
+/// The numeric flags, parsed and range-checked before connecting.
+struct NumericFlags {
+  int timeout_ms = 0;
+  std::uint64_t version = 0;  // 0: latest (eval) or every version (evict)
+  std::size_t pipeline = 0;
+  std::size_t chunk_rows = 0;
+};
+
+NumericFlags parse_numeric_flags(const bmf::io::Args& args) {
+  NumericFlags flags;
+  flags.timeout_ms = static_cast<int>(args.get_int(
+      "timeout-ms", 5000, 0, std::numeric_limits<int>::max()));
+  flags.version = static_cast<std::uint64_t>(args.get_int("version", 0, 0));
+  flags.pipeline = static_cast<std::size_t>(args.get_int("pipeline", 1, 0));
+  flags.chunk_rows =
+      static_cast<std::size_t>(args.get_int("chunk-rows", 4096, 1));
+  return flags;
 }
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
@@ -98,21 +120,17 @@ std::vector<bmf::linalg::Matrix> chunk_rows(const bmf::linalg::Matrix& points,
 }
 
 int run_eval(bmf::serve::Client& client, const bmf::io::Args& args,
-             const std::string& name, const std::string& csv_path) {
+             const NumericFlags& flags, const std::string& name,
+             const std::string& csv_path) {
   const bmf::linalg::Matrix points =
       bmf::io::read_csv(csv_path, /*has_header=*/false);
-  const auto version =
-      static_cast<std::uint64_t>(args.get_int("version", 0));
-  const auto depth = static_cast<std::size_t>(args.get_int("pipeline", 1));
 
   bmf::linalg::Vector values;
   std::uint64_t served_version = 0;
-  if (depth > 1 && points.rows() > 0) {
-    const auto rows_per_chunk =
-        static_cast<std::size_t>(args.get_int("chunk-rows", 4096));
+  if (flags.pipeline > 1 && points.rows() > 0) {
     const std::vector<bmf::serve::Client::Evaluation> parts =
-        client.evaluate_pipeline(name, chunk_rows(points, rows_per_chunk),
-                                 version, depth);
+        client.evaluate_pipeline(name, chunk_rows(points, flags.chunk_rows),
+                                 flags.version, flags.pipeline);
     values = bmf::linalg::Vector(points.rows());
     std::size_t at = 0;
     for (const auto& part : parts) {
@@ -121,7 +139,7 @@ int run_eval(bmf::serve::Client& client, const bmf::io::Args& args,
     }
   } else {
     bmf::serve::Client::Evaluation result =
-        client.evaluate(name, points, version);
+        client.evaluate(name, points, flags.version);
     served_version = result.version;
     values = std::move(result.values);
   }
@@ -187,10 +205,9 @@ int run_store_ls(bmf::serve::Client& client) {
   return 0;
 }
 
-int run_evict(bmf::serve::Client& client, const bmf::io::Args& args,
+int run_evict(bmf::serve::Client& client, const NumericFlags& flags,
               const std::string& name) {
-  const auto version = static_cast<std::uint64_t>(args.get_int("version", 0));
-  const std::uint64_t removed = client.evict(name, version);
+  const std::uint64_t removed = client.evict(name, flags.version);
   std::printf("evicted %llu entr%s of %s\n",
               static_cast<unsigned long long>(removed),
               removed == 1 ? "y" : "ies", name.c_str());
@@ -207,10 +224,16 @@ int main(int argc, char** argv) {
   const auto& positional = args.positional();
   if (endpoint.empty() || positional.empty()) return usage(args.program());
   const std::string& command = positional[0];
-  const int timeout_ms = static_cast<int>(args.get_int("timeout-ms", 5000));
+  NumericFlags flags;
+  try {
+    flags = parse_numeric_flags(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bmf_client: %s\n", e.what());
+    return usage(args.program());
+  }
 
   try {
-    bmf::serve::Client client(endpoint, timeout_ms);
+    bmf::serve::Client client(endpoint, flags.timeout_ms);
     if (command == "ping" && positional.size() == 1) {
       client.ping();
       std::printf("ok\n");
@@ -219,13 +242,13 @@ int main(int argc, char** argv) {
     if (command == "publish" && positional.size() == 3)
       return run_publish(client, positional[1], positional[2]);
     if (command == "eval" && positional.size() == 3)
-      return run_eval(client, args, positional[1], positional[2]);
+      return run_eval(client, args, flags, positional[1], positional[2]);
     if (command == "list" && positional.size() == 1) return run_list(client);
     if (command == "stats" && positional.size() == 1) return run_stats(client);
     if (command == "store-ls" && positional.size() == 1)
       return run_store_ls(client);
     if (command == "evict" && positional.size() == 2)
-      return run_evict(client, args, positional[1]);
+      return run_evict(client, flags, positional[1]);
     if (command == "shutdown" && positional.size() == 1) {
       client.shutdown_server();
       std::printf("server shutting down\n");

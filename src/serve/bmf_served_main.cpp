@@ -4,7 +4,7 @@
 //              [--capacity 64] [--timeout-ms 5000] [--workers 4]
 //              [--max-pending 8] [--max-connections N]
 //              [--max-pipeline 128] [--tcp-announce <file>] [--quiet]
-//              [--store DIR] [--store-sync always|interval|never]
+//              [--store DIR] [--store-sync always|never]
 //              [--store-snapshot-bytes N]
 //
 // Serves the length-prefixed binary protocol (src/serve/protocol.hpp) —
@@ -17,19 +17,23 @@
 // (default: the worker count), --max-pending more wait parked, and past
 // that new connections are shed with kOverloaded. --store DIR makes the
 // registry crash-durable (src/store): publishes and evicts append to a
-// WAL before they are acked (--store-sync picks the fsync policy), the
-// WAL compacts into a snapshot past --store-snapshot-bytes, and a
+// WAL before they are acked (--store-sync always, the default, fsyncs
+// every append; never leaves syncing to the kernel), the WAL compacts into
+// a snapshot past --store-snapshot-bytes, and a
 // restarted daemon hydrates the registry from DIR — versions continue
 // monotonically across the restart. SIGINT/SIGTERM drain
 // gracefully, as does a client "shutdown" request. --tcp-announce writes
 // the resolved "tcp:HOST:PORT" endpoint to a file once listening, so
 // scripts that bound port 0 can find the daemon. Setting BMF_FAULT_PLAN
-// arms the fault-injection layer (testing only). Exit status 0 on
-// graceful shutdown, 1 on a startup or fatal runtime error.
+// arms the fault-injection layer (testing only). A malformed or negative
+// number, or an unknown --store-sync policy, is a usage error. Exit status
+// 0 on graceful shutdown, 1 on a usage, startup or fatal runtime error.
 #include <csignal>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 
 #include "fault/fault.hpp"
 #include "io/args.hpp"
@@ -44,52 +48,61 @@ extern "C" void handle_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
 }
 
+int usage(const std::string& program) {
+  std::fprintf(stderr,
+               "usage: %s [--socket <path>] [--tcp <host:port>]"
+               " [--capacity N] [--timeout-ms N] [--workers N]"
+               " [--max-pending N] [--max-connections N]"
+               " [--max-pipeline N] [--tcp-announce <file>] [--quiet]"
+               " [--store DIR] [--store-sync always|never]"
+               " [--store-snapshot-bytes N]\n"
+               "at least one of --socket / --tcp is required\n",
+               program.c_str());
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const bmf::io::Args args(argc, argv);
   const std::string socket_path = args.get("socket");
   const std::string tcp_address = args.get("tcp");
-  if (socket_path.empty() && tcp_address.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s [--socket <path>] [--tcp <host:port>]"
-                 " [--capacity N] [--timeout-ms N] [--workers N]"
-                 " [--max-pending N] [--max-connections N]"
-                 " [--max-pipeline N] [--tcp-announce <file>] [--quiet]"
-                 " [--store DIR] [--store-sync always|interval|never]"
-                 " [--store-snapshot-bytes N]\n"
-                 "at least one of --socket / --tcp is required\n",
-                 args.program().c_str());
-    return 1;
-  }
+  if (socket_path.empty() && tcp_address.empty())
+    return usage(args.program());
 
   bmf::serve::ServerOptions options;
   options.socket_path = socket_path;
   options.tcp_address = tcp_address;
-  options.registry_capacity =
-      static_cast<std::size_t>(args.get_int("capacity", 64));
-  options.request_timeout_ms =
-      static_cast<int>(args.get_int("timeout-ms", 5000));
-  options.worker_threads =
-      static_cast<std::size_t>(args.get_int("workers", 4));
-  options.max_pending =
-      static_cast<std::size_t>(args.get_int("max-pending", 8));
-  options.max_connections =
-      static_cast<std::size_t>(args.get_int("max-connections", 0));
-  options.max_pipeline =
-      static_cast<std::size_t>(args.get_int("max-pipeline", 128));
+  try {
+    constexpr long kMaxMs = std::numeric_limits<int>::max();
+    options.registry_capacity =
+        static_cast<std::size_t>(args.get_int("capacity", 64, 1));
+    options.request_timeout_ms =
+        static_cast<int>(args.get_int("timeout-ms", 5000, 0, kMaxMs));
+    options.worker_threads =
+        static_cast<std::size_t>(args.get_int("workers", 4, 0));
+    options.max_pending =
+        static_cast<std::size_t>(args.get_int("max-pending", 8, 0));
+    options.max_connections =
+        static_cast<std::size_t>(args.get_int("max-connections", 0, 0));
+    options.max_pipeline =
+        static_cast<std::size_t>(args.get_int("max-pipeline", 128, 0));
+    const std::string sync_policy = args.get("store-sync");
+    if (!sync_policy.empty())
+      options.store_sync = bmf::store::parse_sync_policy(sync_policy);
+    const long snapshot_bytes = args.get_int("store-snapshot-bytes", 0, 0);
+    if (snapshot_bytes > 0)
+      options.store_snapshot_bytes =
+          static_cast<std::size_t>(snapshot_bytes);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bmf_served: %s\n", e.what());
+    return usage(args.program());
+  }
   options.store_dir = args.get("store");
   const std::string announce_path = args.get("tcp-announce");
   const bool quiet = args.flag("quiet");
 
   try {
-    const std::string sync_policy = args.get("store-sync");
-    if (!sync_policy.empty())
-      options.store_sync = bmf::store::parse_sync_policy(sync_policy);
-    const long long snapshot_bytes = args.get_int("store-snapshot-bytes", 0);
-    if (snapshot_bytes > 0)
-      options.store_snapshot_bytes =
-          static_cast<std::size_t>(snapshot_bytes);
     if (bmf::fault::arm_from_env() && !quiet)
       std::fprintf(stderr, "bmf_served: fault injection armed from "
                            "BMF_FAULT_PLAN\n");

@@ -1,16 +1,8 @@
 #include "serve/model_codec.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 
 #include "basis/basis_set.hpp"
-#include "fault/fault.hpp"
 #include "serve/bytes.hpp"
 
 namespace bmf::serve {
@@ -173,89 +165,6 @@ bool looks_like_binary_model(const std::uint8_t* data, std::size_t size) {
   for (std::size_t i = 0; i < kMagic.size(); ++i)
     if (data[i] != kMagic[i]) return false;
   return true;
-}
-
-namespace {
-
-[[noreturn]] void save_failed(const std::string& what, const std::string& path,
-                              int err) {
-  throw ServeError(Status::kInternal, "save_fitted_model",
-                   what + " failed for " + path + ": " + std::strerror(err));
-}
-
-}  // namespace
-
-void save_fitted_model(const std::string& path, const FittedModel& model) {
-  const std::vector<std::uint8_t> blob = serialize_model(model);
-
-  // Write-to-temp + fsync + rename: a reader of `path` sees either the old
-  // file or the complete new one, never a torn prefix — and after the
-  // directory fsync the rename survives a power cut. Every durability
-  // syscall goes through src/fault so crash tests can kill us mid-save.
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0)
-    throw ServeError(Status::kInternal, "save_fitted_model",
-                     "cannot open " + tmp + ": " + std::strerror(errno));
-  std::size_t written = 0;
-  while (written < blob.size()) {
-    const ssize_t n =
-        fault::sys_write(fd, blob.data() + written, blob.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      save_failed("write", tmp, err);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (fault::sys_fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    save_failed("fsync", tmp, err);
-  }
-  ::close(fd);
-  int rc;
-  do {
-    rc = fault::sys_rename(tmp.c_str(), path.c_str());
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    save_failed("rename", tmp, err);
-  }
-
-  // Persist the directory entry; best-effort if the directory cannot be
-  // opened (e.g. path without a usable parent on an exotic filesystem) —
-  // the data itself is already synced.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    if (fault::sys_fsync(dir_fd) != 0) {
-      const int err = errno;
-      ::close(dir_fd);
-      save_failed("directory fsync", dir, err);
-    }
-    ::close(dir_fd);
-  }
-}
-
-FittedModel load_fitted_model(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    throw ServeError(Status::kInternal, "load_fitted_model",
-                     "cannot open " + path);
-  std::vector<std::uint8_t> blob((std::istreambuf_iterator<char>(is)),
-                                 std::istreambuf_iterator<char>());
-  if (is.bad())
-    throw ServeError(Status::kInternal, "load_fitted_model",
-                     "read failed for " + path);
-  return deserialize_model(blob);
 }
 
 }  // namespace bmf::serve

@@ -62,15 +62,4 @@ FittedModel deserialize_model(const std::vector<std::uint8_t>& blob);
 /// accept both the text and the binary format by content, not extension).
 bool looks_like_binary_model(const std::uint8_t* data, std::size_t size);
 
-/// File convenience wrappers. save is crash-atomic: the blob is written to
-/// `path + ".tmp"`, fsynced, renamed over `path`, and the parent directory
-/// is fsynced — a concurrent or post-crash reader sees the old file or the
-/// complete new one, never a torn prefix. Its durability syscalls route
-/// through src/fault, so BMF_FAULT_PLAN can kill or fail a save mid-way.
-/// load reads the whole file then deserializes, so a truncated file fails
-/// the payload-size/CRC checks instead of silently yielding a partial
-/// model. Both throw ServeError on I/O failure.
-void save_fitted_model(const std::string& path, const FittedModel& model);
-FittedModel load_fitted_model(const std::string& path);
-
 }  // namespace bmf::serve

@@ -252,7 +252,7 @@ void Server::run() {
   }  // joins the worker pool
   if (store_) {
     try {
-      store_->flush();  // interval/never: push acked tail to disk on drain
+      store_->flush();  // sync=never: push the acked tail to disk on drain
     } catch (const store::StoreError&) {
       // Shutdown path: the WAL is still scannable; recovery re-derives
       // whatever the kernel managed to persist.
@@ -310,14 +310,12 @@ Server::ExecuteResult Server::execute_request(const std::uint8_t* frame,
     if (std::holds_alternative<PingRequest>(request)) {
       out.reply = encode_ok();
     } else if (const auto* pub = std::get_if<PublishRequest>(&request)) {
-      FittedModel model = deserialize_model(pub->blob);
-      std::uint64_t version = 0;
+      // Install, then (with a store) append the original wire bytes to the
+      // WAL, then ack — so an acked publish always survives a crash, and a
+      // crash before the append leaves nothing a client was told about.
+      const PublishTicket ticket = registry_.publish_ticketed(
+          pub->name, deserialize_model(pub->blob));
       if (store_) {
-        // Install, then append the original wire bytes to the WAL, then
-        // ack — so an acked publish always survives a crash, and a crash
-        // before the append leaves nothing a client was told about.
-        const PublishTicket ticket =
-            registry_.publish_ticketed(pub->name, std::move(model));
         try {
           store_->append_publish(ticket.seq, pub->name, ticket.version,
                                  pub->blob.data(), pub->blob.size());
@@ -328,11 +326,8 @@ Server::ExecuteResult Server::execute_request(const std::uint8_t* frame,
           throw ServeError(Status::kInternal, "store", e.what());
         }
         maybe_compact();
-        version = ticket.version;
-      } else {
-        version = registry_.publish(pub->name, std::move(model));
       }
-      out.reply = encode_publish_response(version);
+      out.reply = encode_publish_response(ticket.version);
     } else if (const auto* ev = std::get_if<EvaluateRequest>(&request)) {
       std::shared_ptr<const ModelEntry> entry =
           ev->version == 0 ? registry_.latest(ev->name)
@@ -371,25 +366,20 @@ Server::ExecuteResult Server::execute_request(const std::uint8_t* frame,
       stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);
       out.reply = encode_stats_response(stats);
     } else if (const auto* evt = std::get_if<EvictRequest>(&request)) {
-      if (store_) {
-        const EvictTicket ticket =
-            registry_.evict_ticketed(evt->name, evt->version);
-        if (ticket.removed > 0) {
-          try {
-            store_->append_evict(ticket.seq, evt->name, evt->version);
-          } catch (const store::StoreError& e) {
-            // The registry already dropped the entries; disk disagrees
-            // until the next successful append or restart. The error
-            // reply tells the caller the evict may not be durable.
-            throw ServeError(Status::kInternal, "store", e.what());
-          }
-          maybe_compact();
+      const EvictTicket ticket =
+          registry_.evict_ticketed(evt->name, evt->version);
+      if (store_ && ticket.removed > 0) {
+        try {
+          store_->append_evict(ticket.seq, evt->name, evt->version);
+        } catch (const store::StoreError& e) {
+          // The registry already dropped the entries; disk disagrees
+          // until the next successful append or restart. The error reply
+          // tells the caller the evict may not be durable.
+          throw ServeError(Status::kInternal, "store", e.what());
         }
-        out.reply = encode_evict_response(ticket.removed);
-      } else {
-        out.reply = encode_evict_response(
-            registry_.evict(evt->name, evt->version));
+        maybe_compact();
       }
+      out.reply = encode_evict_response(ticket.removed);
     } else if (std::holds_alternative<StoreInfoRequest>(request)) {
       out.reply = encode_store_info_response(store_info());
     } else if (const auto* sv = std::get_if<SolveRequest>(&request)) {

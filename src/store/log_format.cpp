@@ -1,6 +1,7 @@
 #include "store/log_format.hpp"
 
 #include <cstring>
+#include <string>
 
 namespace bmf::store {
 
@@ -46,6 +47,27 @@ void patch_u32(std::vector<std::uint8_t>& out, std::size_t at,
   for (int i = 0; i < 4; ++i)
     out[at + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+[[noreturn]] void too_long(const char* what, std::size_t size,
+                           std::size_t bound) {
+  throw StoreError(std::string("store: ") + what + " of " +
+                   std::to_string(size) + " exceeds the bound of " +
+                   std::to_string(bound));
+}
+
+/// A length for a u32 field; a silent wrap would write a file the decoder
+/// rejects, so an oversized value throws instead.
+std::uint32_t checked_u32(std::size_t v, const char* what) {
+  if (v > UINT32_MAX) too_long(what, v, UINT32_MAX);
+  return static_cast<std::uint32_t>(v);
+}
+
+void put_name(std::vector<std::uint8_t>& out, const std::string& name) {
+  if (name.size() > kMaxNameBytes)
+    too_long("name length", name.size(), kMaxNameBytes);
+  put_u16(out, static_cast<std::uint16_t>(name.size()));
+  out.insert(out.end(), name.begin(), name.end());
 }
 
 /// Bounds-checked little-endian cursor. Every getter reports failure by
@@ -129,14 +151,17 @@ std::uint32_t crc32c(const void* data, std::size_t size) noexcept {
 }
 
 void append_record(std::vector<std::uint8_t>& out, const WalRecord& record) {
+  const std::size_t body_bytes =
+      kMinRecordBodyBytes + record.name.size() + record.blob.size();
+  if (body_bytes > kMaxRecordBodyBytes)
+    too_long("record body", body_bytes, kMaxRecordBodyBytes);
   const std::size_t header_at = out.size();
   put_u32(out, 0);  // body_len, patched below
   put_u32(out, 0);  // crc, patched below
   const std::size_t body_at = out.size();
   out.push_back(static_cast<std::uint8_t>(record.kind));
   put_u64(out, record.seq);
-  put_u16(out, static_cast<std::uint16_t>(record.name.size()));
-  out.insert(out.end(), record.name.begin(), record.name.end());
+  put_name(out, record.name);
   put_u64(out, record.version);
   put_u32(out, static_cast<std::uint32_t>(record.blob.size()));
   out.insert(out.end(), record.blob.begin(), record.blob.end());
@@ -189,21 +214,19 @@ std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap) {
   put_u64(out, snap.last_seq);
   put_u32(out, static_cast<std::uint32_t>(snap.next_versions.size()));
   for (const auto& [name, next_version] : snap.next_versions) {
-    put_u16(out, static_cast<std::uint16_t>(name.size()));
-    out.insert(out.end(), name.begin(), name.end());
+    put_name(out, name);
     put_u64(out, next_version);
   }
   put_u32(out, static_cast<std::uint32_t>(snap.models.size()));
   for (const SnapshotModel& m : snap.models) {
-    put_u16(out, static_cast<std::uint16_t>(m.name.size()));
-    out.insert(out.end(), m.name.begin(), m.name.end());
+    put_name(out, m.name);
     put_u64(out, m.version);
-    put_u32(out, static_cast<std::uint32_t>(m.blob.size()));
+    put_u32(out, checked_u32(m.blob.size(), "blob length"));
     out.insert(out.end(), m.blob.begin(), m.blob.end());
   }
   const std::size_t body_len = out.size() - body_at;
   patch_u32(out, 8, crc32c(out.data() + body_at, body_len));
-  patch_u32(out, 12, static_cast<std::uint32_t>(body_len));
+  patch_u32(out, 12, checked_u32(body_len, "snapshot body"));
   return out;
 }
 

@@ -29,11 +29,19 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace bmf::store {
+
+/// Every failure the store reports: I/O errors, misuse, and fields too long
+/// for the byte formats below.
+class StoreError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// CRC-32C (Castagnoli, reflected poly 0x82F63B78), distinct from the
 /// CRC-32/IEEE used by the BMFB model codec.
@@ -43,6 +51,11 @@ inline constexpr std::size_t kRecordHeaderBytes = 8;  // u32 len + u32 crc
 /// Smallest well-formed record body: kind + seq + name_len + version +
 /// blob_len with an empty name and blob.
 inline constexpr std::size_t kMinRecordBodyBytes = 1 + 8 + 2 + 8 + 4;
+/// Largest record body ModelStore's recovery scan accepts; a longer length
+/// prefix reads as corruption.
+inline constexpr std::size_t kMaxRecordBodyBytes = std::size_t{256} << 20;
+/// Names are length-prefixed with a u16 in records and snapshots.
+inline constexpr std::size_t kMaxNameBytes = 0xFFFF;
 
 enum class RecordKind : std::uint8_t {
   kPublish = 1,
@@ -60,7 +73,10 @@ struct WalRecord {
   std::vector<std::uint8_t> blob;
 };
 
-/// Serialize `record` (header + CRC'd body) onto the end of `out`.
+/// Serialize `record` (header + CRC'd body) onto the end of `out`. Throws
+/// StoreError when the name exceeds kMaxNameBytes or the body would exceed
+/// kMaxRecordBodyBytes: a record the scan would reject must never reach
+/// the log.
 void append_record(std::vector<std::uint8_t>& out, const WalRecord& record);
 
 struct WalScan {
@@ -92,6 +108,8 @@ struct Snapshot {
   std::vector<SnapshotModel> models;
 };
 
+/// Throws StoreError when a name exceeds kMaxNameBytes or a blob or the
+/// body exceeds UINT32_MAX bytes.
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap);
 
 /// Returns false (leaving `out` unspecified) on any structural or CRC

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <map>
 #include <system_error>
 
@@ -24,12 +23,6 @@ std::string errno_text() {
 [[noreturn]] void fail(const char* what, const std::string& path) {
   throw StoreError(std::string("store: ") + what + " '" + path +
                    "': " + errno_text());
-}
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// fsync with EINTR retry, through the fault layer.
@@ -80,8 +73,6 @@ const char* to_string(SyncPolicy policy) {
   switch (policy) {
     case SyncPolicy::kAlways:
       return "always";
-    case SyncPolicy::kInterval:
-      return "interval";
     case SyncPolicy::kNever:
       return "never";
   }
@@ -90,10 +81,9 @@ const char* to_string(SyncPolicy policy) {
 
 SyncPolicy parse_sync_policy(const std::string& text) {
   if (text == "always") return SyncPolicy::kAlways;
-  if (text == "interval") return SyncPolicy::kInterval;
   if (text == "never") return SyncPolicy::kNever;
   throw std::invalid_argument(
-      "store sync policy must be always|interval|never, got '" + text + "'");
+      "store sync policy must be always|never, got '" + text + "'");
 }
 
 ModelStore::ModelStore(std::string dir, StoreOptions options)
@@ -152,7 +142,7 @@ ModelStore::Recovery ModelStore::recover() {
   }
 
   std::vector<std::uint8_t> wal = read_fd(wal_fd_, "read", wal_path_);
-  WalScan scan = scan_wal(wal.data(), wal.size(), options_.max_record_bytes);
+  WalScan scan = scan_wal(wal.data(), wal.size(), kMaxRecordBodyBytes);
   if (scan.torn) {
     // Physically cut the torn tail so the next boot (and every append
     // from now on) sees a clean end of log.
@@ -212,7 +202,6 @@ ModelStore::Recovery ModelStore::recover() {
   records_replayed_ = out.records_replayed;
   truncation_events_ = out.truncation_events;
   last_snapshot_seq_ = snap_seq;
-  last_sync_ns_ = now_ns();
   return out;
 }
 
@@ -229,16 +218,11 @@ void ModelStore::write_all_locked(int fd, const std::uint8_t* data,
   }
 }
 
-void ModelStore::sync_wal_locked(const char* what) {
+void ModelStore::sync_wal_locked() {
   if (!dirty_) return;
-  for (;;) {
-    if (fault::sys_fsync(wal_fd_) == 0) break;
-    if (errno == EINTR) continue;
-    throw StoreError(std::string("store: ") + what + ": " + errno_text());
-  }
+  fsync_fd(wal_fd_, "wal fsync", wal_path_);
   ++syncs_;
   dirty_ = false;
-  last_sync_ns_ = now_ns();
 }
 
 void ModelStore::append_locked(const WalRecord& record) {
@@ -248,33 +232,14 @@ void ModelStore::append_locked(const WalRecord& record) {
   const std::uint64_t offset = wal_bytes_.load(std::memory_order_relaxed);
   try {
     write_all_locked(wal_fd_, bytes.data(), bytes.size(), "wal append");
+    dirty_ = true;
+    if (options_.sync == SyncPolicy::kAlways) sync_wal_locked();
   } catch (...) {
-    // Roll a partial record back off the log so the tail stays clean for
-    // the next append; if even that fails, recovery's torn-tail scan
-    // handles it at the next boot.
-    if (::ftruncate(wal_fd_, static_cast<off_t>(offset)) == 0)
-      ::lseek(wal_fd_, static_cast<off_t>(offset), SEEK_SET);
-    throw;
-  }
-  dirty_ = true;
-  try {
-    switch (options_.sync) {
-      case SyncPolicy::kAlways:
-        sync_wal_locked("wal fsync");
-        break;
-      case SyncPolicy::kInterval:
-        if (now_ns() - last_sync_ns_ >=
-            std::int64_t{options_.sync_interval_ms} * 1'000'000)
-          sync_wal_locked("wal fsync");
-        break;
-      case SyncPolicy::kNever:
-        break;
-    }
-  } catch (...) {
-    // The record is fully written but its durability could not be
-    // established, and the caller will NOT ack — so it must not replay
-    // either: take it back off the WAL. Earlier (acked) records keep
-    // their durability from their own appends.
+    // The caller will NOT ack this record, so it must not replay either:
+    // take it (or the partial prefix a failed write left) back off the
+    // log, keeping the tail clean for the next append. Earlier (acked)
+    // records keep their durability from their own appends. If even the
+    // truncate fails, recovery's torn-tail scan handles it at next boot.
     if (::ftruncate(wal_fd_, static_cast<off_t>(offset)) == 0)
       ::lseek(wal_fd_, static_cast<off_t>(offset), SEEK_SET);
     throw;
@@ -356,14 +321,13 @@ void ModelStore::compact(const std::function<Snapshot()>& state) {
   wal_bytes_.store(0, std::memory_order_relaxed);
   wal_records_ = 0;
   dirty_ = false;
-  last_sync_ns_ = now_ns();
   last_snapshot_seq_ = snap.last_seq;
   ++snapshots_written_;
 }
 
 void ModelStore::flush() {
   sync::LockGuard lock(mu_);
-  if (wal_fd_ >= 0 && recovered_) sync_wal_locked("wal fsync");
+  if (wal_fd_ >= 0 && recovered_) sync_wal_locked();
 }
 
 StoreStats ModelStore::stats() const {

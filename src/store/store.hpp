@@ -11,11 +11,13 @@
 //
 //   always     fsync the WAL before returning — an acked publish survives
 //              kill -9 and power loss.
-//   interval   fsync at most every sync_interval_ms (append-driven, plus
-//              flush() on shutdown/compaction) — bounded loss window
-//              while traffic flows.
-//   never      leave syncing to the kernel — contents survive process
-//              death (page cache) but not power loss.
+//   never      leave syncing to the kernel (plus flush() on shutdown) —
+//              contents survive process death (page cache) but not power
+//              loss.
+//
+// This is the only code in the tree that makes bytes durable; its fsync,
+// write and rename calls route through src/fault so the crash matrix can
+// kill it at any of them.
 //
 // Recovery = load snapshot (ignored wholesale if corrupt) + replay WAL
 // records sorted by registry seq, skipping those the snapshot already
@@ -34,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,31 +45,19 @@
 
 namespace bmf::store {
 
-class StoreError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 enum class SyncPolicy : std::uint8_t {
   kAlways = 0,
-  kInterval = 1,
-  kNever = 2,
+  kNever = 1,
 };
 
 const char* to_string(SyncPolicy policy);
-/// Accepts "always" | "interval" | "never"; throws std::invalid_argument.
+/// Accepts "always" | "never"; throws std::invalid_argument.
 SyncPolicy parse_sync_policy(const std::string& text);
 
 struct StoreOptions {
   SyncPolicy sync = SyncPolicy::kAlways;
-  /// kInterval: maximum un-fsynced age of an acked append while traffic
-  /// flows (the next append past the deadline syncs).
-  int sync_interval_ms = 50;
   /// WAL size at which wants_compaction() turns on.
   std::size_t snapshot_wal_bytes = std::size_t{4} << 20;
-  /// Upper bound on one record body; larger length prefixes are treated
-  /// as corruption by the recovery scan.
-  std::size_t max_record_bytes = std::size_t{256} << 20;
 };
 
 /// Counters surfaced through kStoreInfo / `bmf_client store-ls`.
@@ -121,7 +110,9 @@ class ModelStore {
   /// Append one record and apply the sync policy; the caller must not ack
   /// the client until this returns. Throws StoreError on failure, in
   /// which case the record is not durable (a partial append is rolled
-  /// back off the WAL so the file stays scannable).
+  /// back off the WAL so the file stays scannable). A name over
+  /// kMaxNameBytes or a record body over kMaxRecordBodyBytes cannot be
+  /// encoded and throws before any byte is written.
   void append_publish(std::uint64_t seq, const std::string& name,
                       std::uint64_t version, const std::uint8_t* blob,
                       std::size_t size);
@@ -134,8 +125,9 @@ class ModelStore {
   /// Write a snapshot of `state()` and truncate the WAL. `state` runs
   /// under the store lock with appends blocked — it must capture
   /// everything the discarded WAL could hold (the server passes the
-  /// registry's own snapshot). Throws StoreError on failure; the previous
-  /// snapshot and WAL stay intact in that case.
+  /// registry's own snapshot). Throws StoreError on failure — including a
+  /// name or blob too long to encode — and the previous snapshot and WAL
+  /// stay intact in that case.
   void compact(const std::function<Snapshot()>& state);
 
   /// fsync pending WAL bytes regardless of policy (shutdown path).
@@ -150,7 +142,7 @@ class ModelStore {
   void write_all_locked(int fd, const std::uint8_t* data, std::size_t size,
                         const char* what) BMF_REQUIRES(mu_);
   void append_locked(const WalRecord& record) BMF_REQUIRES(mu_);
-  void sync_wal_locked(const char* what) BMF_REQUIRES(mu_);
+  void sync_wal_locked() BMF_REQUIRES(mu_);
 
   std::string dir_;
   StoreOptions options_;
@@ -162,8 +154,6 @@ class ModelStore {
   int dir_fd_ BMF_GUARDED_BY(mu_) = -1;
   int wal_fd_ BMF_GUARDED_BY(mu_) = -1;
   bool recovered_ BMF_GUARDED_BY(mu_) = false;
-  /// Monotonic deadline for kInterval syncing (steady_clock ns).
-  std::int64_t last_sync_ns_ BMF_GUARDED_BY(mu_) = 0;
   bool dirty_ BMF_GUARDED_BY(mu_) = false;  // unsynced WAL bytes exist
 
   /// wal_bytes_ doubles as the wants_compaction() signal, read without

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "io/args.hpp"
 #include "io/csv.hpp"
@@ -142,6 +144,65 @@ TEST(Args, FallbacksAndErrors) {
   EXPECT_THROW(args.get_int("k", 0), std::invalid_argument);
   EXPECT_THROW(args.get_double("k", 0.0), std::invalid_argument);
   EXPECT_THROW(args.get_seed("k", 0), std::invalid_argument);
+}
+
+TEST(Args, IntegerMustBeTheWholeToken) {
+  // std::stol read "4x" as 4; a daemon then ran with a value nobody typed.
+  const char* argv[] = {"prog",       "--workers", "4x",         "--k=1e3",
+                        "--hex=0x10", "--blank",   "--space= 7", "--ok=-12"};
+  Args args(8, argv);
+  EXPECT_THROW(args.get_int("workers", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("k", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("hex", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("blank", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("space", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("ok", 0), -12);
+}
+
+TEST(Args, IntegerOverflowIsAnError) {
+  const char* argv[] = {"prog", "--big", "99999999999999999999", "--max",
+                        "9223372036854775807"};
+  Args args(5, argv);
+  EXPECT_THROW(args.get_int("big", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("max", 0), 9223372036854775807L);
+}
+
+TEST(Args, IntegerRangeIsEnforced) {
+  // "--capacity -1" cast to size_t used to lift the registry's LRU bound,
+  // and "--chunk-rows 0" made the client loop forever.
+  const char* argv[] = {"prog",          "--capacity",   "-1",
+                        "--chunk-rows",  "0",            "--max-pending",
+                        "0",             "--timeout-ms", "3000000000"};
+  Args args(9, argv);
+  EXPECT_THROW(args.get_int("capacity", 64, 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("chunk-rows", 4096, 1), std::invalid_argument);
+  EXPECT_EQ(args.get_int("max-pending", 8, 0), 0);
+  EXPECT_THROW(args.get_int("timeout-ms", 5000, 0, 2147483647),
+               std::invalid_argument);
+  EXPECT_EQ(args.get_int("timeout-ms", 5000), 3000000000L);
+  // The fallback is the caller's own constant and is returned unchecked.
+  EXPECT_EQ(args.get_int("missing", -5, 0), -5);
+  try {
+    args.get_int("capacity", 64, 0);
+    FAIL() << "negative capacity accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--capacity"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Args, DoubleAndSeedMustBeTheWholeToken) {
+  const char* argv[] = {"prog",       "--x=1.5x",  "--y=-2.5e-3",
+                        "--seed=-1",  "--s2=42z",  "--s3=18446744073709551615",
+                        "--s4=18446744073709551616"};
+  Args args(7, argv);
+  EXPECT_THROW(args.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(args.get_double("y", 0.0), -2.5e-3);
+  // std::stoull wrapped "-1" to 2^64 - 1.
+  EXPECT_THROW(args.get_seed("seed", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_seed("s2", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_seed("s3", 0), 18446744073709551615ULL);
+  EXPECT_THROW(args.get_seed("s4", 0), std::invalid_argument);
 }
 
 TEST(Args, FlagFollowedByFlag) {

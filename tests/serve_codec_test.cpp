@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdio>
 #include <string>
 
 #include "stats/rng.hpp"
@@ -186,21 +185,6 @@ TEST(ServeCodec, RejectsFactorDegreeOverBound) {
           << e.message();
     }
   }
-}
-
-TEST(ServeCodec, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/codec.bmfb";
-  const FittedModel m = make_model(11);
-  save_fitted_model(path, m);
-  const FittedModel r = load_fitted_model(path);
-  EXPECT_EQ(serialize_model(r), serialize_model(m));
-  std::remove(path.c_str());
-}
-
-TEST(ServeCodec, FileErrors) {
-  EXPECT_THROW(load_fitted_model("/nonexistent/x.bmfb"), ServeError);
-  EXPECT_THROW(save_fitted_model("/nonexistent/dir/x.bmfb", make_model()),
-               ServeError);
 }
 
 TEST(ServeCodec, Crc32KnownAnswer) {

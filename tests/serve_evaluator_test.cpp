@@ -38,7 +38,7 @@ linalg::Matrix make_points(std::size_t rows, std::size_t cols,
 TEST(BatchEvaluator, MatchesUnblockedDesignPath) {
   const auto model = make_model(6, 2, 3);
   const auto points = make_points(37, 6, 4);
-  const BatchEvaluator evaluator(8);  // forces several partial blocks
+  const BatchEvaluator evaluator;
   const linalg::Vector batched = evaluator.evaluate(model, points);
   ASSERT_EQ(batched.size(), points.rows());
   // The fused path sums terms in term order while gemv's dot kernel uses
@@ -59,16 +59,6 @@ TEST(BatchEvaluator, MatchesUnblockedDesignPath) {
                 1e-12 * std::max(1.0, std::abs(reference)))
         << "row " << i;
   }
-}
-
-TEST(BatchEvaluator, BlockSizeDoesNotChangeBits) {
-  const auto model = make_model(5, 1, 9);
-  const auto points = make_points(100, 5, 10);
-  const linalg::Vector a = BatchEvaluator(7).evaluate(model, points);
-  const linalg::Vector b = BatchEvaluator(100).evaluate(model, points);
-  const linalg::Vector c = BatchEvaluator(1).evaluate(model, points);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
 }
 
 TEST(BatchEvaluator, BitIdenticalAcrossThreadCounts) {
@@ -109,10 +99,6 @@ TEST(BatchEvaluator, RejectsDimensionMismatch) {
   const auto points = make_points(4, 5, 1);
   EXPECT_THROW(BatchEvaluator().evaluate(model, points),
                std::invalid_argument);
-}
-
-TEST(BatchEvaluator, RejectsZeroBlockRows) {
-  EXPECT_THROW(BatchEvaluator(0), std::invalid_argument);
 }
 
 TEST(BatchEvaluator, EvaluateIntoReusesStorage) {

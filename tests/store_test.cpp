@@ -1,7 +1,8 @@
 // Unit tests for the durable model store (src/store): WAL record and
 // snapshot byte formats, torn-tail truncation, seq-ordered replay,
-// duplicate tolerance, snapshot/WAL disagreement, fsync policies, and
-// the stats counters surfaced through store-ls.
+// duplicate tolerance, snapshot/WAL disagreement, fsync policies,
+// oversized fields, concurrent appends, and the stats counters surfaced
+// through store-ls.
 #include "store/store.hpp"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "store/log_format.hpp"
@@ -190,6 +193,36 @@ TEST(LogFormat, Crc32cMatchesKnownVector) {
   EXPECT_EQ(crc32c(zeros, sizeof zeros), 0x8A9136AAu);
   const char* abc = "123456789";
   EXPECT_EQ(crc32c(abc, 9), 0xE3069283u);
+}
+
+TEST(LogFormat, LongestNameRoundTripsAndOneMoreByteThrows) {
+  // Names carry a u16 length prefix: 65,535 bytes is the last length that
+  // encodes; one more used to wrap to 0 and write an unparseable record.
+  const std::string longest(kMaxNameBytes, 'n');
+  std::vector<std::uint8_t> wal;
+  append_record(wal, publish_record(1, longest, 1, "x"));
+  const WalScan scan = scan_wal(wal.data(), wal.size(), kMaxRecordBodyBytes);
+  EXPECT_FALSE(scan.torn);
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0].name, longest);
+
+  Snapshot snap;
+  snap.next_versions = {{longest, 2}};
+  snap.models.push_back({longest, 1, blob_of("x")});
+  const std::vector<std::uint8_t> bytes = encode_snapshot(snap);
+  Snapshot out;
+  ASSERT_TRUE(decode_snapshot(bytes.data(), bytes.size(), out));
+  EXPECT_EQ(out.models.at(0).name, longest);
+
+  const std::string overlong(kMaxNameBytes + 1, 'n');
+  EXPECT_THROW(append_record(wal, publish_record(2, overlong, 1, "x")),
+               StoreError);
+  Snapshot bad_floor;
+  bad_floor.next_versions = {{overlong, 2}};
+  EXPECT_THROW(encode_snapshot(bad_floor), StoreError);
+  Snapshot bad_model;
+  bad_model.models.push_back({overlong, 1, blob_of("x")});
+  EXPECT_THROW(encode_snapshot(bad_model), StoreError);
 }
 
 // ---- ModelStore ------------------------------------------------------------
@@ -434,21 +467,6 @@ TEST(ModelStore, SyncPolicyNeverSyncsOnlyOnFlush) {
   EXPECT_EQ(store.stats().syncs, 1u);
 }
 
-TEST(ModelStore, SyncPolicyIntervalBoundsTheLossWindow) {
-  TempDir dir;
-  StoreOptions options;
-  options.sync = SyncPolicy::kInterval;
-  options.sync_interval_ms = 200'000;  // effectively "not during this test"
-  ModelStore store(dir.path, options);
-  store.recover();
-  const std::vector<std::uint8_t> blob = blob_of("b");
-  store.append_publish(1, "m", 1, blob.data(), blob.size());
-  store.append_publish(2, "m", 2, blob.data(), blob.size());
-  EXPECT_EQ(store.stats().syncs, 0u);  // deadline not reached
-  store.flush();
-  EXPECT_EQ(store.stats().syncs, 1u);
-}
-
 TEST(ModelStore, WantsCompactionTripsAtTheConfiguredSize) {
   TempDir dir;
   StoreOptions options;
@@ -474,12 +492,108 @@ TEST(ModelStore, GuardsAgainstMisuse) {
   EXPECT_THROW(store.recover(), StoreError);
 }
 
+TEST(ModelStore, OverlongNameIsRejectedBeforeTheWalChanges) {
+  // Regression: a 65,536-byte name used to be acked, then read back as a
+  // torn tail at the next boot, taking every later acked record with it.
+  TempDir dir;
+  const std::vector<std::uint8_t> blob = blob_of("b");
+  const std::string overlong(kMaxNameBytes + 1, 'a');
+  {
+    ModelStore store(dir.path);
+    store.recover();
+    store.append_publish(1, "m", 1, blob.data(), blob.size());
+    const std::vector<std::uint8_t> before = file_bytes(dir.path + "/wal.log");
+    EXPECT_THROW(
+        store.append_publish(2, overlong, 1, blob.data(), blob.size()),
+        StoreError);
+    EXPECT_THROW(store.append_evict(2, overlong, 0), StoreError);
+    EXPECT_EQ(file_bytes(dir.path + "/wal.log"), before);
+    EXPECT_EQ(store.stats().wal_bytes, before.size());
+    EXPECT_EQ(store.stats().appends, 1u);
+    store.append_publish(2, "m", 2, blob.data(), blob.size());
+  }
+  ModelStore store(dir.path);
+  const ModelStore::Recovery rec = store.recover();
+  EXPECT_EQ(rec.truncation_events, 0u);
+  EXPECT_EQ(rec.records_replayed, 2u);
+  ASSERT_EQ(rec.models.size(), 2u);
+  EXPECT_EQ(rec.models[0].version, 1u);
+  EXPECT_EQ(rec.models[1].version, 2u);
+}
+
+TEST(ModelStore, CompactionRejectsAnOverlongNameAndKeepsTheWal) {
+  // Regression: the snapshot used to be written (and the WAL truncated)
+  // with a wrapped name length, so the next boot rejected the snapshot
+  // and recovered nothing, acked models included.
+  TempDir dir;
+  const std::vector<std::uint8_t> blob = blob_of("b");
+  {
+    ModelStore store(dir.path);
+    store.recover();
+    store.append_publish(1, "m", 1, blob.data(), blob.size());
+    const std::uint64_t wal_bytes = store.stats().wal_bytes;
+    EXPECT_THROW(store.compact([&] {
+      Snapshot snap;
+      snap.last_seq = 1;
+      snap.next_versions = {{"m", 2}, {std::string(kMaxNameBytes + 1, 'a'), 1}};
+      snap.models.push_back({"m", 1, blob});
+      return snap;
+    }),
+                 StoreError);
+    EXPECT_EQ(store.stats().snapshots_written, 0u);
+    EXPECT_EQ(store.stats().wal_bytes, wal_bytes);
+    EXPECT_EQ(::access((dir.path + "/snapshot.bmfs").c_str(), F_OK), -1);
+    EXPECT_EQ(::access((dir.path + "/snapshot.tmp").c_str(), F_OK), -1);
+  }
+  ModelStore store(dir.path);
+  const ModelStore::Recovery rec = store.recover();
+  EXPECT_FALSE(rec.snapshot_loaded);
+  EXPECT_EQ(rec.truncation_events, 0u);
+  ASSERT_EQ(rec.models.size(), 1u);
+  EXPECT_EQ(rec.models[0].blob, blob);
+}
+
+TEST(ModelStore, ConcurrentAppendsAllSurviveReopen) {
+  // bmf_served's workers append from several threads at once; seqs come
+  // from one counter, so the file order may differ from the seq order.
+  constexpr int kThreads = 4;
+  constexpr int kAppendsPerThread = 50;
+  TempDir dir;
+  {
+    ModelStore store(dir.path);
+    store.recover();
+    std::atomic<std::uint64_t> next_seq{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        const std::string name = "model-" + std::to_string(t);
+        for (int i = 1; i <= kAppendsPerThread; ++i) {
+          const std::vector<std::uint8_t> blob =
+              blob_of(name + "-v" + std::to_string(i));
+          store.append_publish(next_seq.fetch_add(1) + 1, name,
+                               static_cast<std::uint64_t>(i), blob.data(),
+                               blob.size());
+        }
+      });
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(store.stats().appends,
+              static_cast<std::uint64_t>(kThreads * kAppendsPerThread));
+  }
+  ModelStore store(dir.path);
+  const ModelStore::Recovery rec = store.recover();
+  EXPECT_EQ(rec.truncation_events, 0u);
+  EXPECT_EQ(rec.max_seq, 200u);
+  EXPECT_EQ(rec.records_replayed, 200u);
+  ASSERT_EQ(rec.models.size(), 200u);
+  for (const ModelStore::RecoveredModel& m : rec.models)
+    EXPECT_EQ(m.blob, blob_of(m.name + "-v" + std::to_string(m.version)));
+}
+
 TEST(ModelStore, ParseSyncPolicyRoundTrips) {
   EXPECT_EQ(parse_sync_policy("always"), SyncPolicy::kAlways);
-  EXPECT_EQ(parse_sync_policy("interval"), SyncPolicy::kInterval);
+  EXPECT_THROW(parse_sync_policy("interval"), std::invalid_argument);
   EXPECT_EQ(parse_sync_policy("never"), SyncPolicy::kNever);
   EXPECT_STREQ(to_string(SyncPolicy::kAlways), "always");
-  EXPECT_STREQ(to_string(SyncPolicy::kInterval), "interval");
   EXPECT_STREQ(to_string(SyncPolicy::kNever), "never");
   EXPECT_THROW(parse_sync_policy("sometimes"), std::invalid_argument);
 }
