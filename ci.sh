@@ -32,6 +32,13 @@
 #      proves recovery keeps every acked publish byte-identical and the
 #      version sequence monotonic. Memory-clean recovery is part of the
 #      claim, hence the sanitized build.
+#   5c. Fault layer compiled out: a Release build with
+#      -DBMF_FAULT_INJECTION=OFF, the configuration in which every
+#      fault::sys_* is an inline forward to its raw syscall. It builds the
+#      three daemons/CLIs and runs the fault, wire-fault, chaos and
+#      crash-matrix suites, whose injection-dependent cases skip or
+#      compile out there — so both sides of fault.hpp's #ifdef stay
+#      buildable and the suites stay green without injection.
 #   6. ThreadSanitizer build of the concurrent serving stack (event loop,
 #      worker pool, admission queue, fault engine) — the race-freedom
 #      proof for the paths the chaos suite exercises, again over both
@@ -146,6 +153,17 @@ done
 
 echo "== Crash-recovery matrix (kill at durability syscalls, ASan/UBSan) =="
 "$src_dir/build-ci-checked/tests/store_crash_test"
+
+echo "== Fault layer compiled out (-DBMF_FAULT_INJECTION=OFF) =="
+cmake -S "$src_dir" -B "$src_dir/build-ci-nofault" \
+      -DCMAKE_BUILD_TYPE=Release -DBMF_FAULT_INJECTION=OFF
+cmake --build "$src_dir/build-ci-nofault" -j "$jobs" \
+      --target bmf_served bmf_router bmf_client fault_test \
+               serve_wire_fault_test serve_chaos_test store_crash_test
+for suite in fault_test serve_wire_fault_test serve_chaos_test \
+             store_crash_test; do
+  "$src_dir/build-ci-nofault/tests/$suite"
+done
 
 echo "== ThreadSanitizer: concurrent serving stack =="
 cmake -S "$src_dir" -B "$src_dir/build-ci-tsan" \

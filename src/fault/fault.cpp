@@ -1,10 +1,14 @@
 #include "fault/fault.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include <cerrno>
@@ -23,8 +27,51 @@ const char* const kActionNames[] = {"short", "eintr", "delay", "drop",
 constexpr std::size_t kActionCount =
     sizeof(kActionNames) / sizeof(kActionNames[0]);
 
+constexpr unsigned bit(Action action) {
+  return 1u << static_cast<unsigned>(action);
+}
+constexpr unsigned kEverySite =
+    bit(Action::kEintr) | bit(Action::kDelay) | bit(Action::kCrash);
+constexpr unsigned kShort = bit(Action::kShortIo);
+constexpr unsigned kDrop = bit(Action::kDrop);
+constexpr unsigned kCorrupt = bit(Action::kCorrupt);
+
+/// The actions each site performs, indexed by Site: the 45 (site, action)
+/// pairs that have an effect. A rule for any other pair would fire, count
+/// and use up its max_triggers while doing nothing, and shadow every later
+/// rule for its site, so parse_plan rejects it.
+constexpr unsigned kSupported[kSiteCount] = {
+    kEverySite | kShort | kDrop | kCorrupt,  // read
+    kEverySite | kShort | kDrop | kCorrupt,  // send
+    kEverySite | kShort | kDrop,             // poll
+    kEverySite | kDrop,                      // connect
+    kEverySite | kShort | kDrop,             // accept
+    kEverySite | kShort,                     // epoll
+    kEverySite | kShort | kDrop | kCorrupt,  // write
+    kEverySite | kShort | kDrop,             // fsync
+    kEverySite | kDrop,                      // rename
+};
+
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   throw std::invalid_argument("parse_plan: " + why + " in '" + spec + "'");
+}
+
+/// Position of `token` in `names`, or `count` when it is not there.
+std::size_t index_of(const char* const* names, std::size_t count,
+                     std::string_view token) {
+  std::size_t i = 0;
+  while (i < count && token != names[i]) ++i;
+  return i;
+}
+
+/// All of `field` as a T. A sign T cannot take, whitespace, trailing
+/// characters or a value T cannot hold fail, so "*4294967296" cannot wrap
+/// to "unlimited" and "=4294967297" cannot become a 1 ms delay.
+template <typename T>
+bool parse_whole(std::string_view field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -43,78 +90,56 @@ FaultPlan parse_plan(const std::string& spec) {
   while (pos < spec.size()) {
     std::size_t end = spec.find(';', pos);
     if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(pos, end - pos);
+    const std::string_view item(spec.data() + pos, end - pos);
+    const std::string text(item);
     pos = end + 1;
     if (item.empty()) continue;
 
-    if (item.rfind("seed=", 0) == 0) {
-      char* stop = nullptr;
-      const unsigned long long v = std::strtoull(item.c_str() + 5, &stop, 10);
-      if (stop == item.c_str() + 5 || *stop != '\0')
-        bad_spec(spec, "bad seed '" + item + "'");
-      plan.seed = static_cast<std::uint64_t>(v);
+    if (item.substr(0, 5) == "seed=") {
+      if (!parse_whole(item.substr(5), plan.seed))
+        bad_spec(spec, "bad seed '" + text + "'");
       continue;
     }
 
     const std::size_t colon = item.find(':');
-    if (colon == std::string::npos)
-      bad_spec(spec, "rule '" + item + "' has no ':'");
+    if (colon == std::string_view::npos)
+      bad_spec(spec, "rule '" + text + "' has no ':'");
+    // The action runs to the first tail marker, each tail field to the next.
+    std::size_t mark =
+        std::min(item.find_first_of("=*@+", colon), item.size());
+    const std::string site(item.substr(0, colon));
+    const std::string action(item.substr(colon + 1, mark - colon - 1));
+    const std::size_t s = index_of(kSiteNames, kSiteCount, site);
+    if (s == kSiteCount) bad_spec(spec, "unknown site '" + site + "'");
+    const std::size_t a = index_of(kActionNames, kActionCount, action);
+    if (a == kActionCount) bad_spec(spec, "unknown action '" + action + "'");
     FaultRule rule;
-    const std::string site = item.substr(0, colon);
-    bool found = false;
-    for (std::size_t s = 0; s < kSiteCount; ++s)
-      if (site == kSiteNames[s]) {
-        rule.site = static_cast<Site>(s);
-        found = true;
-      }
-    if (!found) bad_spec(spec, "unknown site '" + site + "'");
+    rule.site = static_cast<Site>(s);
+    rule.action = static_cast<Action>(a);
+    if ((kSupported[s] & bit(rule.action)) == 0)
+      bad_spec(spec, "'" + site + ":" + action + "' has no effect");
 
-    // Action name runs until the first tail marker ('=', '*', '@', '+').
-    std::size_t p = colon + 1;
-    std::size_t action_end = item.find_first_of("=*@+", p);
-    if (action_end == std::string::npos) action_end = item.size();
-    const std::string action = item.substr(p, action_end - p);
-    found = false;
-    for (std::size_t a = 0; a < kActionCount; ++a)
-      if (action == kActionNames[a]) {
-        rule.action = static_cast<Action>(a);
-        found = true;
-      }
-    if (!found) bad_spec(spec, "unknown action '" + action + "'");
-    p = action_end;
-
-    while (p < item.size()) {
-      const char marker = item[p];
-      char* stop = nullptr;
-      const char* num = item.c_str() + p + 1;
-      switch (marker) {
-        case '=':
-          rule.delay_ms = static_cast<int>(std::strtol(num, &stop, 10));
-          if (stop == num || rule.delay_ms < 0)
-            bad_spec(spec, "bad delay in '" + item + "'");
-          break;
-        case '*':
-          rule.max_triggers =
-              static_cast<std::uint32_t>(std::strtoul(num, &stop, 10));
-          if (stop == num) bad_spec(spec, "bad count in '" + item + "'");
-          break;
-        case '@':
-          rule.probability = std::strtod(num, &stop);
-          if (stop == num || rule.probability < 0.0 || rule.probability > 1.0)
-            bad_spec(spec, "bad probability in '" + item + "'");
-          break;
-        case '+':
-          rule.skip = static_cast<std::uint32_t>(std::strtoul(num, &stop, 10));
-          if (stop == num) bad_spec(spec, "bad skip in '" + item + "'");
-          break;
-        default:
-          bad_spec(spec, "unexpected '" + std::string(1, marker) + "' in '" +
-                             item + "'");
-      }
-      p = static_cast<std::size_t>(stop - item.c_str());
+    while (mark < item.size()) {
+      const char marker = item[mark];
+      const std::size_t from = mark + 1;
+      mark = std::min(item.find_first_of("=*@+", from), item.size());
+      const std::string_view field = item.substr(from, mark - from);
+      bool ok = false;
+      if (marker == '=')
+        ok = parse_whole(field, rule.delay_ms) && rule.delay_ms >= 0;
+      else if (marker == '*')
+        ok = parse_whole(field, rule.max_triggers);
+      else if (marker == '+')
+        ok = parse_whole(field, rule.skip);
+      else  // '@', written so that NaN fails too
+        ok = parse_whole(field, rule.probability) &&
+             rule.probability >= 0.0 && rule.probability <= 1.0;
+      if (!ok)
+        bad_spec(spec, std::string("bad '") + marker + "' field '" +
+                           std::string(field) + "'");
     }
     if (rule.action == Action::kDelay && rule.delay_ms == 0)
-      bad_spec(spec, "delay rule '" + item + "' needs '=ms'");
+      bad_spec(spec, "delay rule '" + text + "' needs '=ms'");
     plan.rules.push_back(rule);
   }
   if (plan.rules.empty()) bad_spec(spec, "no rules");
@@ -167,6 +192,8 @@ struct Decision {
   Action action = Action::kEintr;
   int delay_ms = 0;
   std::uint64_t draw = 0;  // entropy for corrupt-byte selection
+
+  bool is(Action a) const { return fire && action == a; }
 };
 
 /// First matching rule wins; at most one fault per wrapper call.
@@ -206,10 +233,6 @@ Decision decide(Engine& e, Site site) {
   return {};
 }
 
-void sleep_ms(int ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
 // The crash action: die like kill -9 would — no atexit handlers, no
 // stream flushing, nothing the store could use to "clean up" state that a
 // real power loss would have left torn. Exit code 137 mirrors SIGKILL so
@@ -225,6 +248,52 @@ void sleep_ms(int ms) {
     (void)ignored;
   }
   std::_Exit(137);
+}
+
+/// The part of a fault every site shares. With no plan armed it is one
+/// acquire load. Otherwise it asks the plan about this call and carries
+/// out the two actions every site performs alike: `delay` sleeps, then
+/// lets the real call run (fire comes back false), and `crash` never
+/// returns. Write passes its buffer: a draw-derived prefix of it, possibly
+/// empty, reaches the fd before the process dies, so the file ends in a
+/// torn record. What comes back is the caller's own eintr/short/drop/
+/// corrupt work.
+inline Decision inject(Site site, int fd = -1, const void* buf = nullptr,
+                       std::size_t n = 0) noexcept {
+  Engine* e = g_engine.load(std::memory_order_acquire);
+  if (e == nullptr) return {};
+  Decision d = decide(*e, site);
+  if (d.is(Action::kDelay)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(d.delay_ms));
+    d.fire = false;
+  } else if (d.is(Action::kCrash)) {
+    const std::size_t torn = n == 0 ? 0 : d.draw % (n + 1);
+    if (torn > 0) {
+      const ssize_t ignored = ::write(fd, buf, torn);
+      (void)ignored;
+    }
+    crash_now(site);
+  }
+  return d;
+}
+
+int fail(int error) {
+  errno = error;
+  return -1;
+}
+
+void flip_bit(std::uint8_t* bytes, std::size_t n, std::uint64_t draw) {
+  bytes[draw % n] ^= static_cast<std::uint8_t>(1u << ((draw >> 8) % 8));
+}
+
+/// A copy of buf[0, n) with one draw-chosen bit flipped: the kernel gets
+/// the corruption, the caller's bytes stay intact.
+std::vector<std::uint8_t> corrupted(const void* buf, std::size_t n,
+                                    std::uint64_t draw) {
+  const auto* bytes = static_cast<const std::uint8_t*>(buf);
+  std::vector<std::uint8_t> copy(bytes, bytes + n);
+  flip_bit(copy.data(), n, draw);
+  return copy;
 }
 
 }  // namespace
@@ -272,253 +341,91 @@ FaultStats stats() noexcept {
   return out;
 }
 
+// Each wrapper below carries out only the actions kSupported gives its
+// site beyond the shared three: inject() has done delay and crash.
+
 ssize_t sys_read(int fd, void* buf, std::size_t n) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::read(fd, buf, n);
-  const Decision d = decide(*e, Site::kRead);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kShortIo:
-        n = n > 0 ? 1 : 0;
-        break;
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop:
-        ::shutdown(fd, SHUT_RDWR);
-        break;
-      case Action::kCorrupt: {
-        const ssize_t rc = ::read(fd, buf, n);
-        if (rc > 0) {
-          auto* bytes = static_cast<std::uint8_t*>(buf);
-          bytes[d.draw % static_cast<std::uint64_t>(rc)] ^=
-              static_cast<std::uint8_t>(1u << ((d.draw >> 8) % 8));
-        }
-        return rc;
-      }
-      case Action::kCrash:
-        crash_now(Site::kRead);
-    }
+  const Decision d = inject(Site::kRead);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  if (d.is(Action::kShortIo)) n = n > 0 ? 1 : 0;
+  if (d.is(Action::kDrop)) ::shutdown(fd, SHUT_RDWR);
+  if (d.is(Action::kCorrupt)) {
+    const ssize_t rc = ::read(fd, buf, n);
+    if (rc > 0)
+      flip_bit(static_cast<std::uint8_t*>(buf), static_cast<std::size_t>(rc),
+               d.draw);
+    return rc;
+  }
   return ::read(fd, buf, n);
 }
 
 ssize_t sys_send(int fd, const void* buf, std::size_t n, int flags) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::send(fd, buf, n, flags);
-  const Decision d = decide(*e, Site::kSend);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kShortIo:
-        n = n > 0 ? 1 : 0;
-        break;
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop:
-        ::shutdown(fd, SHUT_RDWR);
-        break;
-      case Action::kCorrupt: {
-        if (n == 0) break;
-        std::vector<std::uint8_t> copy(static_cast<const std::uint8_t*>(buf),
-                                       static_cast<const std::uint8_t*>(buf) +
-                                           n);
-        copy[d.draw % n] ^=
-            static_cast<std::uint8_t>(1u << ((d.draw >> 8) % 8));
-        return ::send(fd, copy.data(), n, flags);
-      }
-      case Action::kCrash:
-        crash_now(Site::kSend);
-    }
+  const Decision d = inject(Site::kSend);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  if (d.is(Action::kShortIo)) n = n > 0 ? 1 : 0;
+  if (d.is(Action::kDrop)) ::shutdown(fd, SHUT_RDWR);
+  if (d.is(Action::kCorrupt) && n > 0)
+    return ::send(fd, corrupted(buf, n, d.draw).data(), n, flags);
   return ::send(fd, buf, n, flags);
 }
 
 int sys_poll(struct pollfd* fds, nfds_t nfds, int timeout_ms) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::poll(fds, nfds, timeout_ms);
-  const Decision d = decide(*e, Site::kPoll);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kShortIo:
-        return 0;  // spurious "deadline expired"
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop:
-        if (nfds > 0) ::shutdown(fds[0].fd, SHUT_RDWR);
-        break;
-      case Action::kCorrupt:
-        break;  // no bytes to corrupt at a poll
-      case Action::kCrash:
-        crash_now(Site::kPoll);
-    }
+  const Decision d = inject(Site::kPoll);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  if (d.is(Action::kShortIo)) return 0;  // spurious "deadline expired"
+  if (d.is(Action::kDrop) && nfds > 0) ::shutdown(fds[0].fd, SHUT_RDWR);
   return ::poll(fds, nfds, timeout_ms);
 }
 
 int sys_connect(int fd, const struct sockaddr* addr, socklen_t len) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::connect(fd, addr, len);
-  const Decision d = decide(*e, Site::kConnect);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kDrop:
-        errno = ECONNREFUSED;
-        return -1;
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kShortIo:
-      case Action::kCorrupt:
-        break;  // no meaningful short/corrupt at connect
-      case Action::kCrash:
-        crash_now(Site::kConnect);
-    }
+  const Decision d = inject(Site::kConnect);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  if (d.is(Action::kDrop)) return fail(ECONNREFUSED);
   return ::connect(fd, addr, len);
 }
 
 int sys_accept(int fd) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::accept(fd, nullptr, nullptr);
-  const Decision d = decide(*e, Site::kAccept);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop: {
-        const int conn = ::accept(fd, nullptr, nullptr);
-        if (conn >= 0) ::shutdown(conn, SHUT_RDWR);
-        return conn;
-      }
-      case Action::kShortIo:
-        // "Short accept": the wakeup had no connection behind it (raced
-        // away, or a spurious event-loop readiness report).
-        errno = EAGAIN;
-        return -1;
-      case Action::kCorrupt:
-        break;
-      case Action::kCrash:
-        crash_now(Site::kAccept);
-    }
-  return ::accept(fd, nullptr, nullptr);
+  const Decision d = inject(Site::kAccept);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  // "Short accept": the wakeup had no connection behind it (raced away,
+  // or a spurious event-loop readiness report).
+  if (d.is(Action::kShortIo)) return fail(EAGAIN);
+  const int conn = ::accept(fd, nullptr, nullptr);
+  if (d.is(Action::kDrop) && conn >= 0) ::shutdown(conn, SHUT_RDWR);
+  return conn;
 }
 
 int sys_epoll_wait(int epfd, struct epoll_event* events, int max_events,
                    int timeout_ms) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::epoll_wait(epfd, events, max_events, timeout_ms);
-  const Decision d = decide(*e, Site::kEpoll);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kShortIo:
-        return 0;  // spurious "nothing ready" wakeup
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop:
-      case Action::kCorrupt:
-        break;  // no single fd to tear down, no bytes to corrupt
-      case Action::kCrash:
-        crash_now(Site::kEpoll);
-    }
+  const Decision d = inject(Site::kEpoll);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  if (d.is(Action::kShortIo)) return 0;  // spurious "nothing ready" wakeup
   return ::epoll_wait(epfd, events, max_events, timeout_ms);
 }
 
 ssize_t sys_write(int fd, const void* buf, std::size_t n) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::write(fd, buf, n);
-  const Decision d = decide(*e, Site::kWrite);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kShortIo:
-        n = n > 0 ? 1 : 0;
-        break;
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop:
-        errno = EIO;  // the disk said no
-        return -1;
-      case Action::kCorrupt: {
-        if (n == 0) break;
-        std::vector<std::uint8_t> copy(static_cast<const std::uint8_t*>(buf),
-                                       static_cast<const std::uint8_t*>(buf) +
-                                           n);
-        copy[d.draw % n] ^=
-            static_cast<std::uint8_t>(1u << ((d.draw >> 8) % 8));
-        return ::write(fd, copy.data(), n);
-      }
-      case Action::kCrash: {
-        // Torn write: a draw-derived prefix (possibly zero bytes) reaches
-        // the file, then the process dies mid-syscall.
-        const std::size_t torn = n == 0 ? 0 : d.draw % (n + 1);
-        if (torn > 0) {
-          const ssize_t ignored = ::write(fd, buf, torn);
-          (void)ignored;
-        }
-        crash_now(Site::kWrite);
-      }
-    }
+  const Decision d = inject(Site::kWrite, fd, buf, n);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  if (d.is(Action::kShortIo)) n = n > 0 ? 1 : 0;
+  if (d.is(Action::kDrop)) return fail(EIO);  // the disk said no
+  if (d.is(Action::kCorrupt) && n > 0)
+    return ::write(fd, corrupted(buf, n, d.draw).data(), n);
   return ::write(fd, buf, n);
 }
 
 int sys_fsync(int fd) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::fsync(fd);
-  const Decision d = decide(*e, Site::kFsync);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kShortIo:
-        return 0;  // a lying fsync: reports success, synced nothing
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop:
-        errno = EIO;
-        return -1;
-      case Action::kCorrupt:
-        break;  // no bytes pass through an fsync
-      case Action::kCrash:
-        crash_now(Site::kFsync);
-    }
+  const Decision d = inject(Site::kFsync);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  // A lying fsync: reports success, synced nothing.
+  if (d.is(Action::kShortIo)) return 0;
+  if (d.is(Action::kDrop)) return fail(EIO);
   return ::fsync(fd);
 }
 
 int sys_rename(const char* oldpath, const char* newpath) noexcept {
-  Engine* e = g_engine.load(std::memory_order_acquire);
-  if (e == nullptr) return ::rename(oldpath, newpath);
-  const Decision d = decide(*e, Site::kRename);
-  if (d.fire) switch (d.action) {
-      case Action::kEintr:
-        errno = EINTR;
-        return -1;
-      case Action::kDelay:
-        sleep_ms(d.delay_ms);
-        break;
-      case Action::kDrop:
-        errno = EIO;
-        return -1;
-      case Action::kShortIo:
-      case Action::kCorrupt:
-        break;  // no meaningful short/corrupt for a rename
-      case Action::kCrash:
-        crash_now(Site::kRename);
-    }
+  const Decision d = inject(Site::kRename);
+  if (d.is(Action::kEintr)) return fail(EINTR);
+  if (d.is(Action::kDrop)) return fail(EIO);
   return ::rename(oldpath, newpath);
 }
 

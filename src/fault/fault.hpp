@@ -4,10 +4,10 @@
 // Every read/send/poll/connect/accept — and, for the durable store,
 // every write/fsync/rename — the serving stack performs goes through the
 // sys_* wrappers below instead of the raw syscalls (enforced by
-// scripts/lint.sh). With no plan armed, a wrapper is the raw syscall
-// plus one relaxed atomic load; compiled with BMF_FAULT_INJECTION off it
-// is the raw syscall, period — an inline forward with nothing to
-// configure, so production builds can prove the layer costs nothing.
+// scripts/lint.sh). With no plan armed, a wrapper is one acquire load and
+// then the raw syscall; compiled with BMF_FAULT_INJECTION off it is the
+// raw syscall, period — an inline forward with nothing to configure, so
+// production builds can prove the layer costs nothing.
 //
 // A FaultPlan is a seeded list of rules. Each rule names a site (which
 // wrapper), an action (what goes wrong), and its trigger window: skip the
@@ -17,7 +17,26 @@
 // same faults on the same call sequence every run — chaos tests are
 // reproducible from (plan, seed) alone.
 //
-// Actions by site:
+// Supported (site, action) pairs — 45 of the 54:
+//
+//            short  eintr  delay  drop  corrupt  crash
+//   read       x      x      x     x      x        x
+//   send       x      x      x     x      x        x
+//   poll       x      x      x     x      -        x
+//   connect    -      x      x     x      -        x
+//   accept     x      x      x     x      -        x
+//   epoll      x      x      x     -      -        x
+//   write      x      x      x     x      x        x
+//   fsync      x      x      x     x      -        x
+//   rename     -      x      x     x      -        x
+//
+// parse_plan rejects the nine '-' pairs (poll:corrupt, connect:short,
+// connect:corrupt, accept:corrupt, epoll:drop, epoll:corrupt,
+// fsync:corrupt, rename:short, rename:corrupt): such a rule would fire,
+// count and use up max_triggers while doing nothing, and since the first
+// matching rule wins it would shadow every later rule for its site.
+//
+// What each action does:
 //   short    read/send/write: clamp the byte count to 1 (partial-I/O
 //            storm); poll/epoll: report 0 ready fds (spurious timeout);
 //            accept: fail with errno = EAGAIN (a wakeup with no
@@ -26,13 +45,15 @@
 //   eintr    fail with errno = EINTR before touching the kernel.
 //   delay    sleep delay_ms, then perform the real call (pushes a peer
 //            past its deadline without breaking the stream).
-//   drop     read/send/poll: shutdown(fd, SHUT_RDWR) first, so the real
-//            call observes a mid-frame connection loss; connect: refuse
-//            with ECONNREFUSED; accept: accept, then drop the new fd;
-//            write/fsync/rename: fail with errno = EIO (media error).
+//   drop     read/send/poll: shutdown(fd, SHUT_RDWR) first (poll: its
+//            first fd), so the real call observes a mid-frame connection
+//            loss; connect: refuse with ECONNREFUSED; accept: accept,
+//            then drop the new fd; write/fsync/rename: fail with
+//            errno = EIO (media error).
 //   corrupt  read: flip one bit of the bytes actually read; send/write: a
 //            copy with one bit flipped goes to the kernel (wire/disk
-//            corruption without framing loss).
+//            corruption without framing loss; the caller's buffer is
+//            untouched).
 //   crash    kill the process on the spot with _Exit(137) — no atexit, no
 //            buffers flushed, the closest user-space gets to kill -9.
 //            write first puts a draw-derived PREFIX of the buffer on the
@@ -112,7 +133,11 @@ struct FaultPlan {
 ///   tail  = '*' max_triggers | '@' probability | '+' skip
 ///
 /// e.g. "seed=7;read:short*0;send:eintr*3@0.5;poll:delay=200;read:corrupt+2"
-/// ('*0' = unlimited). Throws std::invalid_argument on malformed input.
+/// ('*0' = unlimited). Each number is the whole text up to the next
+/// marker, in range for its field: decimal digits only for seed, skip
+/// and max_triggers, a non-negative int for delay_ms, and a probability
+/// in [0, 1] (not NaN). Throws std::invalid_argument on malformed input,
+/// on a number that does not fit, and on a pair the table above rejects.
 FaultPlan parse_plan(const std::string& spec);
 
 /// True when BMF_FAULT_INJECTION was compiled in (arm() can take effect).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <limits>
 #include <thread>
 
 #include "serve/model_codec.hpp"
@@ -22,17 +20,6 @@ int remaining_ms(Clock::time_point deadline) {
   return left > 0 ? static_cast<int>(left) : 0;
 }
 
-/// Env override for one policy knob; out-of-range or non-numeric input
-/// keeps the default (a bad knob must not disable serving).
-long env_long(const char* name, long fallback, long lo, long hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < lo || value > hi) return fallback;
-  return value;
-}
-
 /// Statuses the server emits before executing the request: at admission
 /// (kOverloaded, kShuttingDown) or after its read deadline expired with
 /// the request still un-decoded (kTimeout). Retrying them cannot
@@ -43,26 +30,6 @@ bool pre_execution_status(Status status) {
 }
 
 }  // namespace
-
-std::size_t default_pipeline_depth() {
-  return static_cast<std::size_t>(env_long("BMF_SERVE_PIPELINE", 16, 1, 4096));
-}
-
-RetryPolicy RetryPolicy::from_env() {
-  RetryPolicy policy;
-  policy.max_attempts = static_cast<int>(env_long(
-      "BMF_SERVE_MAX_ATTEMPTS", policy.max_attempts, 1, 1000));
-  policy.base_backoff_ms = static_cast<int>(env_long(
-      "BMF_SERVE_BACKOFF_BASE_MS", policy.base_backoff_ms, 0, 60'000));
-  policy.max_backoff_ms = static_cast<int>(env_long(
-      "BMF_SERVE_BACKOFF_CAP_MS", policy.max_backoff_ms, 0, 600'000));
-  policy.budget_ms = static_cast<int>(env_long(
-      "BMF_SERVE_RETRY_BUDGET_MS", policy.budget_ms, 1, 3'600'000));
-  policy.seed = static_cast<std::uint64_t>(env_long(
-      "BMF_SERVE_RETRY_SEED", static_cast<long>(policy.seed), 0,
-      std::numeric_limits<long>::max()));
-  return policy;
-}
 
 Client::Client(const std::string& endpoint, int timeout_ms,
                std::size_t max_frame_bytes, RetryPolicy policy)
@@ -275,7 +242,7 @@ std::vector<Client::Evaluation> Client::evaluate_pipeline(
     const std::string& name, const std::vector<linalg::Matrix>& batches,
     std::uint64_t version, std::size_t depth) {
   if (batches.empty()) return {};
-  if (depth == 0) depth = default_pipeline_depth();
+  if (depth == 0) depth = 1;
   // Idempotent like evaluate: a transport failure replays the whole
   // pipeline on a fresh connection.
   return with_retries(Idempotency::kRetryable,

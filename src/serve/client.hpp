@@ -45,14 +45,7 @@
 
 namespace bmf::serve {
 
-/// Bounds on the client's reconnect-and-retry loop. Every knob has an
-/// environment override (read by from_env) so deployment scripts can tune
-/// resilience without recompiling:
-///   BMF_SERVE_MAX_ATTEMPTS     total tries per request  (default 4)
-///   BMF_SERVE_BACKOFF_BASE_MS  first backoff sleep      (default 5)
-///   BMF_SERVE_BACKOFF_CAP_MS   backoff ceiling          (default 200)
-///   BMF_SERVE_RETRY_BUDGET_MS  total deadline budget    (default 10000)
-///   BMF_SERVE_RETRY_SEED       jitter RNG seed          (default 1)
+/// Bounds on the client's reconnect-and-retry loop.
 struct RetryPolicy {
   /// Total attempts per request (1 = no retries).
   int max_attempts = 4;
@@ -65,10 +58,6 @@ struct RetryPolicy {
   int budget_ms = 10000;
   /// Seed for the jitter RNG (deterministic backoff sequences in tests).
   std::uint64_t seed = 1;
-
-  /// Defaults overridden by the BMF_SERVE_* environment variables above.
-  /// Unset, non-numeric, or out-of-range values keep the default.
-  static RetryPolicy from_env();
 };
 
 /// Counters for observing the retry loop (tests assert bounded retries;
@@ -78,10 +67,6 @@ struct RetryStats {
   std::uint64_t retries = 0;     // attempts after the first
   std::uint64_t reconnects = 0;  // connect calls after the initial one
 };
-
-/// Default in-flight window for evaluate_pipeline when the caller passes
-/// depth 0; BMF_SERVE_PIPELINE overrides it (clamped to [1, 4096]).
-std::size_t default_pipeline_depth();
 
 class Client {
  public:
@@ -114,16 +99,16 @@ class Client {
                       std::uint64_t version = 0);
 
   /// Evaluate many batches with up to `depth` requests in flight on the
-  /// one connection (depth 0 = default_pipeline_depth()). Frames queued
-  /// for the same window coalesce into single writes, and replies are
-  /// consumed strictly in request order, so results[i] always answers
-  /// batches[i]. Idempotent like evaluate: a transport failure reconnects
-  /// and replays the whole pipeline under the retry policy. A semantic
-  /// error reply (kNotFound, ...) absorbs the remaining in-flight replies
-  /// to keep the stream aligned, then throws.
+  /// one connection (0 is taken as 1). Frames queued for the same window
+  /// coalesce into single writes, and replies are consumed strictly in
+  /// request order, so results[i] always answers batches[i]. Idempotent
+  /// like evaluate: a transport failure reconnects and replays the whole
+  /// pipeline under the retry policy. A semantic error reply (kNotFound,
+  /// ...) absorbs the remaining in-flight replies to keep the stream
+  /// aligned, then throws.
   std::vector<Evaluation> evaluate_pipeline(
       const std::string& name, const std::vector<linalg::Matrix>& batches,
-      std::uint64_t version = 0, std::size_t depth = 0);
+      std::uint64_t version = 0, std::size_t depth = 1);
 
   /// Registry snapshot (sorted by name).
   std::vector<ModelInfo> list();
@@ -159,7 +144,6 @@ class Client {
   /// Ask the daemon to drain and exit (acknowledged before it stops).
   void shutdown_server();
 
-  const RetryPolicy& retry_policy() const { return policy_; }
   const RetryStats& retry_stats() const { return stats_; }
 
  private:

@@ -150,21 +150,23 @@ std::uint32_t crc32c(const void* data, std::size_t size) noexcept {
   return c ^ 0xFFFFFFFFu;
 }
 
-void append_record(std::vector<std::uint8_t>& out, const WalRecord& record) {
+void append_record(std::vector<std::uint8_t>& out, RecordKind kind,
+                   std::uint64_t seq, const std::string& name,
+                   std::uint64_t version, std::span<const std::uint8_t> blob) {
   const std::size_t body_bytes =
-      kMinRecordBodyBytes + record.name.size() + record.blob.size();
+      kMinRecordBodyBytes + name.size() + blob.size();
   if (body_bytes > kMaxRecordBodyBytes)
     too_long("record body", body_bytes, kMaxRecordBodyBytes);
   const std::size_t header_at = out.size();
   put_u32(out, 0);  // body_len, patched below
   put_u32(out, 0);  // crc, patched below
   const std::size_t body_at = out.size();
-  out.push_back(static_cast<std::uint8_t>(record.kind));
-  put_u64(out, record.seq);
-  put_name(out, record.name);
-  put_u64(out, record.version);
-  put_u32(out, static_cast<std::uint32_t>(record.blob.size()));
-  out.insert(out.end(), record.blob.begin(), record.blob.end());
+  out.push_back(static_cast<std::uint8_t>(kind));
+  put_u64(out, seq);
+  put_name(out, name);
+  put_u64(out, version);
+  put_u32(out, static_cast<std::uint32_t>(blob.size()));
+  out.insert(out.end(), blob.begin(), blob.end());
   const std::size_t body_len = out.size() - body_at;
   patch_u32(out, header_at, static_cast<std::uint32_t>(body_len));
   patch_u32(out, header_at + 4, crc32c(out.data() + body_at, body_len));

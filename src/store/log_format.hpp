@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -62,6 +63,7 @@ enum class RecordKind : std::uint8_t {
   kEvict = 2,
 };
 
+/// One record as scan_wal returns it.
 struct WalRecord {
   RecordKind kind = RecordKind::kPublish;
   std::uint64_t seq = 0;
@@ -73,11 +75,14 @@ struct WalRecord {
   std::vector<std::uint8_t> blob;
 };
 
-/// Serialize `record` (header + CRC'd body) onto the end of `out`. Throws
-/// StoreError when the name exceeds kMaxNameBytes or the body would exceed
-/// kMaxRecordBodyBytes: a record the scan would reject must never reach
-/// the log.
-void append_record(std::vector<std::uint8_t>& out, const WalRecord& record);
+/// Serialize one record (header + CRC'd body) onto the end of `out`,
+/// copying `blob` once, straight from the caller's bytes (empty for
+/// evict). Throws StoreError when the name exceeds kMaxNameBytes or the
+/// body would exceed kMaxRecordBodyBytes: a record the scan would reject
+/// must never reach the log.
+void append_record(std::vector<std::uint8_t>& out, RecordKind kind,
+                   std::uint64_t seq, const std::string& name,
+                   std::uint64_t version, std::span<const std::uint8_t> blob);
 
 struct WalScan {
   std::vector<WalRecord> records;  // valid records, in file order

@@ -225,10 +225,8 @@ void ModelStore::sync_wal_locked() {
   dirty_ = false;
 }
 
-void ModelStore::append_locked(const WalRecord& record) {
+void ModelStore::append_locked(const std::vector<std::uint8_t>& bytes) {
   if (!recovered_) throw StoreError("store: append before recover()");
-  std::vector<std::uint8_t> bytes;
-  append_record(bytes, record);
   const std::uint64_t offset = wal_bytes_.load(std::memory_order_relaxed);
   try {
     write_all_locked(wal_fd_, bytes.data(), bytes.size(), "wal append");
@@ -252,25 +250,21 @@ void ModelStore::append_locked(const WalRecord& record) {
 void ModelStore::append_publish(std::uint64_t seq, const std::string& name,
                                 std::uint64_t version,
                                 const std::uint8_t* blob, std::size_t size) {
-  WalRecord record;
-  record.kind = RecordKind::kPublish;
-  record.seq = seq;
-  record.name = name;
-  record.version = version;
-  record.blob.assign(blob, blob + size);
+  // Encoded before the lock: the blob is copied once, and the lock covers
+  // only the write, the fsync and the rollback.
+  std::vector<std::uint8_t> bytes;
+  append_record(bytes, RecordKind::kPublish, seq, name, version,
+                {blob, size});
   sync::LockGuard lock(mu_);
-  append_locked(record);
+  append_locked(bytes);
 }
 
 void ModelStore::append_evict(std::uint64_t seq, const std::string& name,
                               std::uint64_t version) {
-  WalRecord record;
-  record.kind = RecordKind::kEvict;
-  record.seq = seq;
-  record.name = name;
-  record.version = version;
+  std::vector<std::uint8_t> bytes;
+  append_record(bytes, RecordKind::kEvict, seq, name, version, {});
   sync::LockGuard lock(mu_);
-  append_locked(record);
+  append_locked(bytes);
 }
 
 bool ModelStore::wants_compaction() const noexcept {

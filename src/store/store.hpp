@@ -141,7 +141,10 @@ class ModelStore {
  private:
   void write_all_locked(int fd, const std::uint8_t* data, std::size_t size,
                         const char* what) BMF_REQUIRES(mu_);
-  void append_locked(const WalRecord& record) BMF_REQUIRES(mu_);
+  /// Write one encoded record and apply the sync policy, rolling a failed
+  /// append back off the WAL.
+  void append_locked(const std::vector<std::uint8_t>& bytes)
+      BMF_REQUIRES(mu_);
   void sync_wal_locked() BMF_REQUIRES(mu_);
 
   std::string dir_;

@@ -8,9 +8,11 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 
 #include <sys/un.h>
@@ -115,6 +117,42 @@ TEST(FaultPlanGrammar, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_plan("read:short@2.0"), std::invalid_argument);
   EXPECT_THROW(parse_plan("seed=x"), std::invalid_argument);
   EXPECT_THROW(parse_plan(""), std::invalid_argument);
+}
+
+TEST(FaultPlanGrammar, RejectsNumbersThatDoNotFit) {
+  // Each number is the whole field up to the next marker and must fit its
+  // type: nothing wraps, no whitespace is skipped, and NaN is no
+  // probability.
+  for (const char* spec :
+       {"read:short*4294967296", "read:delay=4294967297", "read:short@nan",
+        "read:short*-1", "read:short+-1", "seed=-1;read:short",
+        "read:short* 1"})
+    EXPECT_THROW(parse_plan(spec), std::invalid_argument) << spec;
+}
+
+TEST(FaultPlanGrammar, RejectsActionsASiteCannotPerform) {
+  // These pairs have no effect: a rule for one would fire, count and use
+  // up max_triggers while doing nothing, and shadow later rules.
+  const std::set<std::string> rejected = {
+      "poll:corrupt",   "connect:short", "connect:corrupt",
+      "accept:corrupt", "epoll:drop",    "epoll:corrupt",
+      "fsync:corrupt",  "rename:short",  "rename:corrupt"};
+  int accepted = 0;
+  for (std::size_t s = 0; s < kSiteCount; ++s)
+    for (const Action action :
+         {Action::kShortIo, Action::kEintr, Action::kDelay, Action::kDrop,
+          Action::kCorrupt, Action::kCrash}) {
+      const std::string pair = std::string(to_string(static_cast<Site>(s))) +
+                               ":" + to_string(action);
+      const std::string spec = action == Action::kDelay ? pair + "=1" : pair;
+      if (rejected.count(pair) != 0) {
+        EXPECT_THROW(parse_plan(spec), std::invalid_argument) << pair;
+      } else {
+        EXPECT_NO_THROW(parse_plan(spec)) << pair;
+        ++accepted;
+      }
+    }
+  EXPECT_EQ(accepted, 45);
 }
 
 TEST(FaultEngine, CompiledInMatchesTheBuildFlag) {
@@ -334,6 +372,49 @@ TEST(FaultEngine, RenameDropFailsWithEioThenSucceeds) {
   EXPECT_EQ(stats().site[8].triggered, 1u);
   EXPECT_EQ(sys_rename(src, dst.c_str()), 0);
   EXPECT_EQ(::unlink(dst.c_str()), 0);
+}
+
+TEST(FaultEngine, CorruptWriteFlipsOneBitOnDiskNotInTheCallersBuffer) {
+  DisarmGuard guard;
+  ScratchFile file;
+  std::uint8_t data[64];
+  for (std::size_t i = 0; i < sizeof data; ++i)
+    data[i] = static_cast<std::uint8_t>(i * 7);
+  std::uint8_t original[sizeof data];
+  std::memcpy(original, data, sizeof data);
+  arm(parse_plan("write:corrupt"));
+  ASSERT_EQ(sys_write(file.fd, data, sizeof data),
+            static_cast<ssize_t>(sizeof data));
+  EXPECT_EQ(stats().site[6].triggered, 1u);
+  EXPECT_EQ(std::memcmp(data, original, sizeof data), 0);
+
+  std::uint8_t on_disk[sizeof data] = {};
+  ASSERT_EQ(::pread(file.fd, on_disk, sizeof on_disk, 0),
+            static_cast<ssize_t>(sizeof on_disk));
+  int bits_differing = 0;
+  for (std::size_t i = 0; i < sizeof data; ++i)
+    bits_differing += __builtin_popcount(on_disk[i] ^ original[i]);
+  EXPECT_EQ(bits_differing, 1);
+}
+
+TEST(FaultEngine, PollDropShutsDownTheFirstFdSoItsPeerSeesEof) {
+  DisarmGuard guard;
+  int pair[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  arm(parse_plan("poll:drop"));
+  struct pollfd pfd;
+  pfd.fd = pair[0];
+  pfd.events = POLLIN;
+  pfd.revents = 0;
+  // The shutdown happens before the real poll, which then sees the
+  // connection gone from its own side.
+  EXPECT_EQ(sys_poll(&pfd, 1, 1000), 1);
+  EXPECT_NE(pfd.revents & (POLLIN | POLLHUP), 0);
+  EXPECT_EQ(stats().site[2].triggered, 1u);
+  char byte = 0;
+  EXPECT_EQ(::recv(pair[1], &byte, 1, MSG_DONTWAIT), 0);  // the peer: EOF
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 TEST(FaultEngine, CrashActionExitsWithKillSignature) {

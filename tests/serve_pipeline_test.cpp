@@ -437,14 +437,5 @@ TEST(ServePipeline, PipelineOverTcpLoopback) {
   runner.join();
 }
 
-TEST(ServePipeline, DefaultPipelineDepthHonorsTheEnvironment) {
-  ASSERT_EQ(::setenv("BMF_SERVE_PIPELINE", "32", 1), 0);
-  EXPECT_EQ(default_pipeline_depth(), 32u);
-  ASSERT_EQ(::setenv("BMF_SERVE_PIPELINE", "0", 1), 0);
-  EXPECT_EQ(default_pipeline_depth(), 16u);  // out of range: default
-  ASSERT_EQ(::unsetenv("BMF_SERVE_PIPELINE"), 0);
-  EXPECT_EQ(default_pipeline_depth(), 16u);
-}
-
 }  // namespace
 }  // namespace bmf::serve

@@ -43,17 +43,6 @@ std::vector<std::uint8_t> blob_of(const std::string& text) {
   return std::vector<std::uint8_t>(text.begin(), text.end());
 }
 
-WalRecord publish_record(std::uint64_t seq, const std::string& name,
-                         std::uint64_t version, const std::string& text) {
-  WalRecord r;
-  r.kind = RecordKind::kPublish;
-  r.seq = seq;
-  r.name = name;
-  r.version = version;
-  r.blob = blob_of(text);
-  return r;
-}
-
 std::vector<std::uint8_t> file_bytes(const std::string& path) {
   std::vector<std::uint8_t> out;
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -80,13 +69,9 @@ void write_file_bytes(const std::string& path,
 
 TEST(LogFormat, RecordsRoundTripThroughScan) {
   std::vector<std::uint8_t> wal;
-  append_record(wal, publish_record(1, "dac", 1, "model-bytes"));
-  WalRecord evict;
-  evict.kind = RecordKind::kEvict;
-  evict.seq = 2;
-  evict.name = "dac";
-  evict.version = 1;
-  append_record(wal, evict);
+  append_record(wal, RecordKind::kPublish, 1, "dac", 1,
+                blob_of("model-bytes"));
+  append_record(wal, RecordKind::kEvict, 2, "dac", 1, {});
 
   const WalScan scan = scan_wal(wal.data(), wal.size(), 1 << 20);
   EXPECT_FALSE(scan.torn);
@@ -104,9 +89,9 @@ TEST(LogFormat, RecordsRoundTripThroughScan) {
 
 TEST(LogFormat, TornTailStopsAtTheLastCompleteRecord) {
   std::vector<std::uint8_t> wal;
-  append_record(wal, publish_record(1, "a", 1, "first"));
+  append_record(wal, RecordKind::kPublish, 1, "a", 1, blob_of("first"));
   const std::size_t first_end = wal.size();
-  append_record(wal, publish_record(2, "b", 1, "second"));
+  append_record(wal, RecordKind::kPublish, 2, "b", 1, blob_of("second"));
   for (std::size_t cut = first_end + 1; cut < wal.size(); ++cut) {
     const WalScan scan = scan_wal(wal.data(), cut, 1 << 20);
     EXPECT_TRUE(scan.torn) << "cut=" << cut;
@@ -118,9 +103,9 @@ TEST(LogFormat, TornTailStopsAtTheLastCompleteRecord) {
 
 TEST(LogFormat, BitFlipFailsTheCrcAndTearsTheLog) {
   std::vector<std::uint8_t> wal;
-  append_record(wal, publish_record(1, "a", 1, "first"));
+  append_record(wal, RecordKind::kPublish, 1, "a", 1, blob_of("first"));
   const std::size_t first_end = wal.size();
-  append_record(wal, publish_record(2, "b", 1, "second"));
+  append_record(wal, RecordKind::kPublish, 2, "b", 1, blob_of("second"));
   wal[first_end + kRecordHeaderBytes + 3] ^= 0x40;  // body of record 2
   const WalScan scan = scan_wal(wal.data(), wal.size(), 1 << 20);
   EXPECT_TRUE(scan.torn);
@@ -132,7 +117,7 @@ TEST(LogFormat, AbsurdLengthPrefixIsCorruptionNotAnAllocation) {
   // A zero-filled or garbage tail must not drive a multi-GB read. Lengths
   // below the minimum body or above max_record_bytes both tear the log.
   std::vector<std::uint8_t> wal;
-  append_record(wal, publish_record(1, "a", 1, "x"));
+  append_record(wal, RecordKind::kPublish, 1, "a", 1, blob_of("x"));
   const std::size_t first_end = wal.size();
   wal.insert(wal.end(), 64, std::uint8_t{0});  // zero page "tail"
   WalScan scan = scan_wal(wal.data(), wal.size(), 1 << 20);
@@ -200,7 +185,7 @@ TEST(LogFormat, LongestNameRoundTripsAndOneMoreByteThrows) {
   // encodes; one more used to wrap to 0 and write an unparseable record.
   const std::string longest(kMaxNameBytes, 'n');
   std::vector<std::uint8_t> wal;
-  append_record(wal, publish_record(1, longest, 1, "x"));
+  append_record(wal, RecordKind::kPublish, 1, longest, 1, blob_of("x"));
   const WalScan scan = scan_wal(wal.data(), wal.size(), kMaxRecordBodyBytes);
   EXPECT_FALSE(scan.torn);
   ASSERT_EQ(scan.records.size(), 1u);
@@ -215,7 +200,8 @@ TEST(LogFormat, LongestNameRoundTripsAndOneMoreByteThrows) {
   EXPECT_EQ(out.models.at(0).name, longest);
 
   const std::string overlong(kMaxNameBytes + 1, 'n');
-  EXPECT_THROW(append_record(wal, publish_record(2, overlong, 1, "x")),
+  EXPECT_THROW(append_record(wal, RecordKind::kPublish, 2, overlong, 1,
+                             blob_of("x")),
                StoreError);
   Snapshot bad_floor;
   bad_floor.next_versions = {{overlong, 2}};
