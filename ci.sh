@@ -38,7 +38,9 @@
 #      three daemons/CLIs and runs the fault, wire-fault, chaos and
 #      crash-matrix suites, whose injection-dependent cases skip or
 #      compile out there — so both sides of fault.hpp's #ifdef stay
-#      buildable and the suites stay green without injection.
+#      buildable and the suites stay green without injection. It builds
+#      with -Werror: a helper left outside the #ifdef that holds its only
+#      callers is an unused-function warning there, and fails the stage.
 #   6. ThreadSanitizer build of the concurrent serving stack (event loop,
 #      worker pool, admission queue, fault engine) — the race-freedom
 #      proof for the paths the chaos suite exercises, again over both
@@ -156,7 +158,8 @@ echo "== Crash-recovery matrix (kill at durability syscalls, ASan/UBSan) =="
 
 echo "== Fault layer compiled out (-DBMF_FAULT_INJECTION=OFF) =="
 cmake -S "$src_dir" -B "$src_dir/build-ci-nofault" \
-      -DCMAKE_BUILD_TYPE=Release -DBMF_FAULT_INJECTION=OFF
+      -DCMAKE_BUILD_TYPE=Release -DBMF_FAULT_INJECTION=OFF \
+      -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$src_dir/build-ci-nofault" -j "$jobs" \
       --target bmf_served bmf_router bmf_client fault_test \
                serve_wire_fault_test serve_chaos_test store_crash_test

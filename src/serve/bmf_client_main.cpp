@@ -191,7 +191,7 @@ int run_store_ls(bmf::serve::Client& client) {
   }
   std::printf(
       "enabled=%llu wal_bytes=%llu wal_records=%llu appends=%llu"
-      " syncs=%llu snapshots_written=%llu last_snapshot_version=%llu"
+      " syncs=%llu snapshots_written=%llu last_snapshot_seq=%llu"
       " records_replayed=%llu truncation_events=%llu\n",
       static_cast<unsigned long long>(s.enabled),
       static_cast<unsigned long long>(s.wal_bytes),

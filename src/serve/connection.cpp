@@ -1,6 +1,5 @@
 #include "serve/connection.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -112,67 +111,6 @@ std::size_t OrderedReplies::drain_ready(std::vector<std::uint8_t>& wire,
     ++drained;
   }
   return drained;
-}
-
-DeadlineWheel::DeadlineWheel(Clock::time_point start, int tick_ms,
-                             std::size_t slots)
-    : tick_ms_(tick_ms > 0 ? tick_ms : 1),
-      nslots_(slots > 0 ? slots : 1),
-      start_(start),
-      slots_(nslots_) {}
-
-std::uint64_t DeadlineWheel::tick_of(Clock::time_point t) const {
-  if (t <= start_) return 0;
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      t - start_)
-                      .count();
-  return static_cast<std::uint64_t>(ms) / static_cast<std::uint64_t>(tick_ms_);
-}
-
-void DeadlineWheel::set(std::uint64_t id, Clock::time_point deadline) {
-  const bool was_armed = deadlines_.count(id) != 0;
-  deadlines_[id] = deadline;
-  if (was_armed) return;  // its slot entry re-slots lazily when visited
-  // Never slot at or behind the cursor: a deadline inside the current
-  // tick would otherwise wait a whole wheel revolution to be seen.
-  const std::uint64_t tick = std::max(tick_of(deadline), cursor_ + 1);
-  slots_[tick % nslots_].push_back(id);
-}
-
-void DeadlineWheel::cancel(std::uint64_t id) { deadlines_.erase(id); }
-
-void DeadlineWheel::collect(Clock::time_point now,
-                            std::vector<std::uint64_t>& expired) {
-  const std::uint64_t target = tick_of(now);
-  if (target <= cursor_) return;
-  // Past a full revolution every slot has been due once; walking each at
-  // most once per collect bounds the work.
-  const std::uint64_t steps =
-      std::min<std::uint64_t>(target - cursor_, nslots_);
-  std::vector<std::uint64_t> due;
-  for (std::uint64_t step = 1; step <= steps; ++step) {
-    std::vector<std::uint64_t>& slot = slots_[(cursor_ + step) % nslots_];
-    due.clear();
-    due.swap(slot);
-    for (const std::uint64_t id : due) {
-      const auto it = deadlines_.find(id);
-      if (it == deadlines_.end()) continue;  // cancelled: drop the entry
-      if (it->second <= now) {
-        expired.push_back(id);
-        deadlines_.erase(it);
-        continue;
-      }
-      // Rescheduled past this slot: move the entry to its current home.
-      const std::uint64_t tick = std::max(tick_of(it->second), target + 1);
-      slots_[tick % nslots_].push_back(id);
-    }
-  }
-  cursor_ = target;
-}
-
-int DeadlineWheel::next_timeout_ms(int cap_ms) const {
-  if (deadlines_.empty()) return cap_ms;
-  return std::max(0, std::min(tick_ms_, cap_ms));
 }
 
 }  // namespace bmf::serve

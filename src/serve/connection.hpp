@@ -1,12 +1,10 @@
 // Per-connection building blocks of the epoll connection loop
-// (connection_loop.cpp): incremental frame parsing, ordered reply
-// sequencing, and a hashed deadline wheel. These are pure data structures
-// — no sockets, no syscalls — so the pipelining unit tests
-// (tests/serve_pipeline_test.cpp) exercise frame reassembly, reply
-// ordering, and deadline bookkeeping byte-for-byte without a live daemon.
+// (connection_loop.cpp): incremental frame parsing and ordered reply
+// sequencing. These are pure data structures — no sockets, no syscalls —
+// so the pipelining unit tests (tests/serve_pipeline_test.cpp) exercise
+// frame reassembly and reply ordering byte-for-byte without a live daemon.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -120,49 +118,6 @@ class OrderedReplies {
   // Ordered map (not unordered — repo lint rule): completions are looked
   // up strictly in sequence order, so begin() is always the candidate.
   std::map<std::uint64_t, std::vector<std::uint8_t>> completed_;
-};
-
-/// Hashed timer wheel over steady-clock deadlines — one wheel replaces
-/// the per-request poll() timeouts of the thread-per-connection server.
-/// set()/cancel() are O(1); collect() advances the wheel to `now` and
-/// reports every id whose deadline passed. The authoritative deadline
-/// lives in a map; slot entries are validated lazily when their slot
-/// comes up, so rescheduling an id (every request on a busy connection
-/// pushes its deadline out) is a map update, never a search — a stale
-/// slot entry simply re-slots itself to the new deadline when visited.
-class DeadlineWheel {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  explicit DeadlineWheel(Clock::time_point start, int tick_ms = 25,
-                         std::size_t slots = 256);
-
-  /// Arm or reschedule id's deadline.
-  void set(std::uint64_t id, Clock::time_point deadline);
-
-  /// Disarm id (no-op when not armed).
-  void cancel(std::uint64_t id);
-
-  /// Advance to `now`, appending each expired id to `expired` (its
-  /// deadline is disarmed; re-arm with set() to keep watching it).
-  void collect(Clock::time_point now, std::vector<std::uint64_t>& expired);
-
-  /// Milliseconds the event loop may sleep without missing a deadline,
-  /// in [0, cap_ms]; cap_ms when nothing is armed. Deadline precision is
-  /// one tick — the wheel trades exactness for O(1) maintenance.
-  int next_timeout_ms(int cap_ms) const;
-
-  std::size_t armed() const { return deadlines_.size(); }
-
- private:
-  std::uint64_t tick_of(Clock::time_point t) const;
-
-  int tick_ms_;
-  std::size_t nslots_;
-  Clock::time_point start_;
-  std::uint64_t cursor_ = 0;  // last tick whose slot has been collected
-  std::vector<std::vector<std::uint64_t>> slots_;
-  std::map<std::uint64_t, Clock::time_point> deadlines_;  // authoritative
 };
 
 }  // namespace bmf::serve

@@ -24,11 +24,6 @@ constexpr int kLoopTickMs = 100;
 /// babysit the peer.
 constexpr int kShedReplyTimeoutMs = 100;
 
-/// Deadline wheel granularity and size (256 slots of 25 ms cover 6.4 s —
-/// more than request_timeout_ms's default — before an entry wraps).
-constexpr int kWheelTickMs = 25;
-constexpr std::size_t kWheelSlots = 256;
-
 /// Default read size when the frame parser has no better hint. Large
 /// enough that a burst of small pipelined frames lands in one syscall.
 constexpr std::size_t kReadChunkBytes = std::size_t{64} * 1024;
@@ -80,9 +75,7 @@ bool send_available(int fd, std::vector<std::uint8_t>& wire,
 ConnectionLoop::ConnectionLoop(const std::string& socket_path,
                                const std::string& tcp_address,
                                ConnectionLimits limits)
-    : limits_(limits),
-      socket_path_(socket_path),
-      wheel_(Clock::now(), kWheelTickMs, kWheelSlots) {
+    : limits_(limits), socket_path_(socket_path) {
   if (socket_path.empty() && tcp_address.empty())
     throw ServeError(Status::kInternal, "listen",
                      "no transport configured: set socket_path and/or "
@@ -110,15 +103,12 @@ ConnectionLoop::~ConnectionLoop() {
 
 void ConnectionLoop::run(Handler& handler) {
   std::array<struct epoll_event, 64> events{};
+  int wait_ms = kLoopTickMs;
   for (;;) {
     if (stop_requested() && !draining_) start_drain();
-    if (draining_) {
-      const bool pending = handler.drain_pending();
-      settle_dirty();
-      if (!pending && conns_.empty()) return;
-    }
+    if (draining_ && !handler.drain_pending() && conns_.empty()) return;
     const int n = poller_.wait(events.data(), static_cast<int>(events.size()),
-                               wheel_.next_timeout_ms(kLoopTickMs));
+                               wait_ms);
     for (int i = 0; i < n; ++i) {
       const std::uint64_t tag = events[static_cast<std::size_t>(i)].data.u64;
       const std::uint32_t ev = events[static_cast<std::size_t>(i)].events;
@@ -134,12 +124,9 @@ void ConnectionLoop::run(Handler& handler) {
     }
     handler.on_round();
     settle_dirty();
-    ready_scratch_.clear();
-    for (const auto& [tag, c] : conns_)
-      if (c.frames.complete_frames() > 0) ready_scratch_.push_back(tag);
+    wait_ms = sweep();
     if (!ready_scratch_.empty()) handler.on_frames(ready_scratch_);
     settle_dirty();
-    check_deadlines();
   }
 }
 
@@ -162,7 +149,7 @@ void ConnectionLoop::complete(std::uint64_t tag, std::uint64_t seq,
     c->read_open = false;
     c->close_after_flush = true;
   }
-  touch(tag);
+  touch(*c);
   dirty_.push_back(tag);
 }
 
@@ -195,7 +182,7 @@ void ConnectionLoop::make_active(UniqueFd fd) {
   auto it = conns_.try_emplace(tag, std::move(fd), limits_.max_frame_bytes)
                 .first;
   poller_.add(it->second.fd.get(), EPOLLIN, tag);
-  touch(tag);
+  touch(it->second);
 }
 
 void ConnectionLoop::shed(UniqueFd fd, Status status) noexcept {
@@ -234,7 +221,7 @@ void ConnectionLoop::on_conn_event(std::uint64_t tag, std::uint32_t ev) {
       close_conn(it);
       return;
     }
-    touch(tag);
+    touch(c);
   }
   settle(it);
 }
@@ -324,7 +311,6 @@ void ConnectionLoop::update_interest(std::uint64_t tag, Conn& c) {
 ConnectionLoop::ConnMap::iterator ConnectionLoop::close_conn(
     ConnMap::iterator it) {
   poller_.remove(it->second.fd.get());
-  wheel_.cancel(it->first);
   auto next = conns_.erase(it);
   while (!draining_ && !parked_.empty() &&
          conns_.size() < limits_.max_connections) {
@@ -336,42 +322,61 @@ ConnectionLoop::ConnMap::iterator ConnectionLoop::close_conn(
 
 /// Push the connection's deadline out one full timeout: on accept, on
 /// read progress, and on every answer.
-void ConnectionLoop::touch(std::uint64_t tag) {
-  wheel_.set(tag, Clock::now() +
-                      std::chrono::milliseconds(limits_.request_timeout_ms));
+void ConnectionLoop::touch(Conn& c) {
+  c.deadline =
+      Clock::now() + std::chrono::milliseconds(limits_.request_timeout_ms);
 }
 
-void ConnectionLoop::check_deadlines() {
-  expired_scratch_.clear();
-  wheel_.collect(Clock::now(), expired_scratch_);
-  for (const std::uint64_t tag : expired_scratch_) {
-    auto it = conns_.find(tag);
-    if (it == conns_.end()) continue;
+/// The round's pass over the connections: collect those holding complete
+/// frames into ready_scratch_ and time out those past their deadline.
+/// Returns how long the loop may sleep: until the earliest deadline left,
+/// rounded up to whole milliseconds so the loop never spins, capped at
+/// kLoopTickMs.
+int ConnectionLoop::sweep() {
+  ready_scratch_.clear();
+  const Clock::time_point now = Clock::now();
+  Clock::time_point earliest = now + std::chrono::milliseconds(kLoopTickMs);
+  for (auto it = conns_.begin(); it != conns_.end();) {
     Conn& c = it->second;
-    if (c.work_left()) {
+    if (c.deadline <= now) {
+      if (!c.work_left()) {
+        it = time_out(it);
+        continue;
+      }
       // Answers still being computed or forwarded: not stalled. Answers
       // push the deadline out; this re-arm covers the gap.
-      touch(tag);
-      continue;
+      touch(c);
     }
-    if (!c.write_pending()) {
-      // Idle (no request arrived) or stalled mid-frame: a structured
-      // kTimeout verdict, best effort, then close. A peer that stopped
-      // reading its replies gets nothing: there is no one to tell.
-      const std::string timeout = std::to_string(limits_.request_timeout_ms);
-      const ServeError e(
-          Status::kTimeout, "serve_connection",
-          c.frames.mid_frame()
-              ? "request frame stalled mid-transfer for " + timeout + " ms"
-              : "no request arrived within " + timeout + " ms");
-      try {
-        write_frame(c.fd.get(), encode_error(e), kShedReplyTimeoutMs,
-                    limits_.max_frame_bytes);
-      } catch (const ServeError&) {
-      }
-    }
-    close_conn(it);
+    if (c.frames.complete_frames() > 0) ready_scratch_.push_back(it->first);
+    earliest = std::min(earliest, c.deadline);
+    ++it;
   }
+  const auto wait =
+      std::chrono::ceil<std::chrono::milliseconds>(earliest - now).count();
+  return std::max(1, static_cast<int>(wait));
+}
+
+/// Close a connection past its deadline with nothing left to answer.
+ConnectionLoop::ConnMap::iterator ConnectionLoop::time_out(
+    ConnMap::iterator it) {
+  Conn& c = it->second;
+  if (!c.write_pending()) {
+    // Idle (no request arrived) or stalled mid-frame: a structured
+    // kTimeout verdict, best effort, then close. A peer that stopped
+    // reading its replies gets nothing: there is no one to tell.
+    const std::string timeout = std::to_string(limits_.request_timeout_ms);
+    const ServeError e(
+        Status::kTimeout, "serve_connection",
+        c.frames.mid_frame()
+            ? "request frame stalled mid-transfer for " + timeout + " ms"
+            : "no request arrived within " + timeout + " ms");
+    try {
+      write_frame(c.fd.get(), encode_error(e), kShedReplyTimeoutMs,
+                  limits_.max_frame_bytes);
+    } catch (const ServeError&) {
+    }
+  }
+  return close_conn(it);
 }
 
 void ConnectionLoop::start_drain() {

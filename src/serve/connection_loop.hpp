@@ -6,8 +6,10 @@
 // connect), the non-blocking connections, and each connection's frame
 // parser (FrameBuffer), reply sequencer (OrderedReplies) and outgoing
 // bytes. A client may pipeline many frames; replies leave in arrival
-// order and consecutive ones coalesce into single writes. One
-// DeadlineWheel times out idle and stalled connections.
+// order and consecutive ones coalesce into single writes. Each connection
+// carries one deadline, pushed out on accept, read progress and every
+// answer; once per round the loop times out the connections past theirs,
+// and it sleeps no longer than the earliest deadline left.
 //
 // Admission: up to max_connections connections are registered, up to
 // max_pending more wait parked (accepted, unread), and beyond that a
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -82,6 +85,7 @@ class ConnectionLoop {
     std::uint32_t events = EPOLLIN;  // interest currently registered
     std::vector<std::uint8_t> wire;  // outgoing prefixed replies
     std::size_t wire_off = 0;
+    std::chrono::steady_clock::time_point deadline;  // see touch()
 
     bool write_pending() const { return wire_off < wire.size(); }
     bool work_left() const {
@@ -163,8 +167,9 @@ class ConnectionLoop {
   void settle_dirty();
   void update_interest(std::uint64_t tag, Conn& c);
   ConnMap::iterator close_conn(ConnMap::iterator it);
-  void touch(std::uint64_t tag);
-  void check_deadlines();
+  void touch(Conn& c);
+  int sweep();
+  ConnMap::iterator time_out(ConnMap::iterator it);
   void start_drain();
 
   const ConnectionLimits limits_;
@@ -173,7 +178,6 @@ class ConnectionLoop {
   UniqueFd tcp_listen_;
   Endpoint tcp_endpoint_;
   Poller poller_;
-  DeadlineWheel wheel_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> shed_{0};
   // Ordered containers (repo lint: no unordered ones in serve sources).
@@ -184,7 +188,6 @@ class ConnectionLoop {
   /// Connections answered since they were last settled.
   std::vector<std::uint64_t> dirty_;
   std::vector<std::uint64_t> ready_scratch_;
-  std::vector<std::uint64_t> expired_scratch_;
 };
 
 }  // namespace bmf::serve

@@ -27,8 +27,10 @@ PublishTicket ModelRegistry::publish_ticketed(const std::string& name,
   record.versions.try_emplace(
       entry->version, entry, clock_.fetch_add(1, std::memory_order_relaxed) + 1);
   ++entries_;
-  evict_locked(entry.get());
-  return {entry->version, ++mutation_seq_};
+  PublishTicket ticket{entry->version, ++mutation_seq_,
+                       evict_locked(entry.get())};
+  mutation_seq_ += ticket.evicted.size();
+  return ticket;
 }
 
 bool ModelRegistry::restore(const std::string& name, std::uint64_t version,
@@ -146,7 +148,9 @@ std::size_t ModelRegistry::size() const {
   return entries_;
 }
 
-void ModelRegistry::evict_locked(const ModelEntry* spare) {
+std::vector<std::shared_ptr<const ModelEntry>> ModelRegistry::evict_locked(
+    const ModelEntry* spare) {
+  std::vector<std::shared_ptr<const ModelEntry>> evicted;
   while (entries_ > capacity_) {
     std::map<std::string, Record>::iterator victim_record = records_.end();
     std::map<std::uint64_t, Slot>::iterator victim_slot;
@@ -166,12 +170,14 @@ void ModelRegistry::evict_locked(const ModelEntry* spare) {
         }
       }
     }
-    if (!found) return;  // only the just-published entry remains
+    if (!found) break;  // only the just-published entry remains
+    evicted.push_back(std::move(victim_slot->second.entry));
     victim_record->second.versions.erase(victim_slot);
     --entries_;
     // Keep the Record (and its next_version counter) even when empty so a
     // republished name continues its monotonic version sequence.
   }
+  return evicted;
 }
 
 }  // namespace bmf::serve

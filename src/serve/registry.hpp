@@ -57,6 +57,9 @@ struct ModelInfo {
 struct PublishTicket {
   std::uint64_t version = 0;
   std::uint64_t seq = 0;
+  /// Entries the publish evicted to stay within capacity, in eviction
+  /// order: the i-th one's eviction is stamped seq + 1 + i.
+  std::vector<std::shared_ptr<const ModelEntry>> evicted;
 };
 struct EvictTicket {
   std::size_t removed = 0;
@@ -149,8 +152,10 @@ class ModelRegistry {
     std::map<std::uint64_t, Slot> versions;
   };
 
-  /// Drop LRU entries until size <= capacity, sparing `spare`.
-  void evict_locked(const ModelEntry* spare) BMF_REQUIRES(mu_);
+  /// Drop LRU entries until size <= capacity, sparing `spare`; returns
+  /// them in eviction order.
+  std::vector<std::shared_ptr<const ModelEntry>> evict_locked(
+      const ModelEntry* spare) BMF_REQUIRES(mu_);
 
   /// Reader/writer capability (DESIGN.md §11): publish/evict take it
   /// exclusive; latest/at/list/size — the serving hot path, hit once per

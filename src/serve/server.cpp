@@ -17,20 +17,15 @@ namespace bmf::serve {
 
 namespace {
 
-/// Idle workers re-check the stop flag this often: request_stop() must
-/// stay async-signal-safe, so it cannot notify them.
-constexpr int kWorkerTickMs = 100;
-
 constexpr std::uint64_t kTagWakeup = ConnectionLoop::kHandlerTagBase;
-
-using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
 /// run()'s compute stage behind the connection loop: the worker pool and
-/// its hand-off queues. Lives on run()'s stack. Loop-thread only except
-/// jobs_/done_ (mutex-protected) and the wakeup fd — the only points the
-/// workers touch.
+/// its hand-off queues. Lives on run()'s stack, so the workers outlive the
+/// loop's drain and stop only when run() destroys the stage. Loop-thread
+/// only except jobs_/stopping_/done_ (mutex-protected) and the wakeup fd —
+/// the only points the workers touch.
 class ComputeStage final : public ConnectionLoop::Handler {
  public:
   ComputeStage(Server& server, ConnectionLoop& loop)
@@ -42,7 +37,10 @@ class ComputeStage final : public ConnectionLoop::Handler {
   }
 
   ~ComputeStage() override {
-    loop_.request_stop();  // already set unless the loop threw
+    {
+      sync::LockGuard lk(jobs_mu_);
+      stopping_ = true;
+    }
     jobs_cv_.notify_all();
     for (std::thread& worker : workers_) worker.join();
   }
@@ -53,7 +51,11 @@ class ComputeStage final : public ConnectionLoop::Handler {
   void on_event(std::uint64_t, std::uint32_t) override { wakeup_.drain(); }
   void on_round() override;
   void on_frames(const std::vector<std::uint64_t>& ready) override;
-  bool drain_pending() override;
+  /// Handed-off jobs still outstanding. The workers outlive the drain, and
+  /// each completion wakes the loop through the eventfd.
+  bool drain_pending() override {
+    return server_.queue_depth_.load(std::memory_order_relaxed) != 0;
+  }
 
  private:
   struct Job {
@@ -81,12 +83,10 @@ class ComputeStage final : public ConnectionLoop::Handler {
   sync::Mutex jobs_mu_;
   sync::CondVar jobs_cv_;
   std::deque<Job> jobs_ BMF_GUARDED_BY(jobs_mu_);
+  /// Set by the destructor: idle workers exit instead of waiting on.
+  bool stopping_ BMF_GUARDED_BY(jobs_mu_) = false;
   sync::Mutex done_mu_;
   std::deque<Completion> done_ BMF_GUARDED_BY(done_mu_);
-  /// Jobs handed to the pool whose completions the loop has not yet
-  /// applied. Loop-thread only (incremented at enqueue, decremented when
-  /// the completion — or a drain-time steal — is applied).
-  std::size_t jobs_outstanding_ = 0;
   std::vector<std::uint64_t> idle_scratch_;
   std::vector<std::thread> workers_;  // last: workers use everything above
 };
@@ -99,14 +99,8 @@ void ComputeStage::worker_body() {
       // Written as an explicit loop, not a predicate lambda: jobs_ is
       // guarded by jobs_mu_, and the analysis checks the read against the
       // lock held in *this* function (see sync/mutex.hpp).
-      const auto tick = Clock::now() + std::chrono::milliseconds(kWorkerTickMs);
-      while (!loop_.stop_requested() && jobs_.empty()) {
-        if (jobs_cv_.wait_until(lk, tick) == std::cv_status::timeout) break;
-      }
-      if (jobs_.empty()) {
-        if (loop_.stop_requested()) return;
-        continue;
-      }
+      while (!stopping_ && jobs_.empty()) jobs_cv_.wait(lk);
+      if (stopping_) return;
       job = std::move(jobs_.front());
       jobs_.pop_front();
     }
@@ -136,7 +130,6 @@ void ComputeStage::on_round() {
     batch.swap(done_);
   }
   for (Completion& done : batch) {
-    --jobs_outstanding_;
     server_.queue_depth_.fetch_sub(1, std::memory_order_relaxed);
     answer(done.tag, done.seq, std::move(done.result));
   }
@@ -152,14 +145,13 @@ void ComputeStage::on_frames(const std::vector<std::uint64_t>& ready) {
       idle_scratch_.push_back(tag);
   if (idle_scratch_.empty()) return;
 
-  // Inline paths: with a single busy connection and an idle pool, worker
+  // Inline path: with a single busy connection and an idle pool, worker
   // handoff is pure latency — the single-stream fast path runs the whole
   // pipelined burst on the loop thread and the loop flushes one coalesced
-  // reply batch. During a drain the pool may already have exited, so the
-  // loop executes everything itself.
-  if (loop_.stop_requested() ||
-      (idle_scratch_.size() == 1 && jobs_outstanding_ == 0)) {
-    for (const std::uint64_t tag : idle_scratch_) run_inline(tag);
+  // reply batch.
+  if (idle_scratch_.size() == 1 &&
+      server_.queue_depth_.load(std::memory_order_relaxed) == 0) {
+    run_inline(idle_scratch_.front());
     return;
   }
   {
@@ -171,7 +163,6 @@ void ComputeStage::on_frames(const std::vector<std::uint64_t>& ready) {
       job.seq = c.replies.reserve();
       c.frames.next_frame(job.frame);  // copies: the worker needs ownership
       jobs_.push_back(std::move(job));
-      ++jobs_outstanding_;
       server_.queue_depth_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -189,26 +180,6 @@ void ComputeStage::run_inline(std::uint64_t tag) {
     c.frames.pop_front();
     answer(tag, seq, std::move(result));
   }
-}
-
-/// Drain backstop: dispatched jobs the pool never picked up (every worker
-/// can observe the stop flag and exit before a just-enqueued job) are
-/// executed by the loop so the drain guarantee holds with no pool.
-bool ComputeStage::drain_pending() {
-  for (;;) {
-    Job job;
-    {
-      sync::LockGuard lk(jobs_mu_);
-      if (jobs_.empty()) break;
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-    --jobs_outstanding_;
-    server_.queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    answer(job.tag, job.seq,
-           server_.execute_request(job.frame.data(), job.frame.size()));
-  }
-  return jobs_outstanding_ != 0;
 }
 
 Server::Server(ServerOptions options)
@@ -316,13 +287,19 @@ Server::ExecuteResult Server::execute_request(const std::uint8_t* frame,
       const PublishTicket ticket = registry_.publish_ticketed(
           pub->name, deserialize_model(pub->blob));
       if (store_) {
+        std::vector<std::pair<std::string, std::uint64_t>> evicted;
+        for (const std::shared_ptr<const ModelEntry>& entry : ticket.evicted)
+          evicted.emplace_back(entry->name, entry->version);
         try {
           store_->append_publish(ticket.seq, pub->name, ticket.version,
-                                 pub->blob.data(), pub->blob.size());
+                                 pub->blob.data(), pub->blob.size(), evicted);
         } catch (const store::StoreError& e) {
           // Not durable => not acked => must not be served: roll the
-          // registry back so memory never outlives the log.
+          // registry back so memory never outlives the log, and put back
+          // what the publish evicted, whose evictions were not logged.
           registry_.evict(pub->name, ticket.version);
+          for (const std::shared_ptr<const ModelEntry>& entry : ticket.evicted)
+            registry_.restore(entry->name, entry->version, entry->model);
           throw ServeError(Status::kInternal, "store", e.what());
         }
         maybe_compact();

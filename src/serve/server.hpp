@@ -152,9 +152,9 @@ class Server {
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> evals_served_{0};
   /// Requests handed to the worker pool whose completions the loop has not
-  /// yet applied (inline fast-path executions never touch it). Mirrors the
-  /// stage's jobs_outstanding_ so kStats — which may run on a worker — can
-  /// report queue depth without reaching into loop-thread state.
+  /// yet applied (inline fast-path executions never touch it). Only the
+  /// loop thread writes it; atomic so kStats — which may run on a worker —
+  /// can report queue depth.
   std::atomic<std::uint64_t> queue_depth_{0};
   /// kStats uptime reference: when the listeners were bound.
   std::chrono::steady_clock::time_point start_time_ =

@@ -225,7 +225,8 @@ void ModelStore::sync_wal_locked() {
   dirty_ = false;
 }
 
-void ModelStore::append_locked(const std::vector<std::uint8_t>& bytes) {
+void ModelStore::append_locked(const std::vector<std::uint8_t>& bytes,
+                               std::size_t records) {
   if (!recovered_) throw StoreError("store: append before recover()");
   const std::uint64_t offset = wal_bytes_.load(std::memory_order_relaxed);
   try {
@@ -243,20 +244,24 @@ void ModelStore::append_locked(const std::vector<std::uint8_t>& bytes) {
     throw;
   }
   wal_bytes_.store(offset + bytes.size(), std::memory_order_relaxed);
-  ++wal_records_;
+  wal_records_ += records;
   ++appends_;
 }
 
-void ModelStore::append_publish(std::uint64_t seq, const std::string& name,
-                                std::uint64_t version,
-                                const std::uint8_t* blob, std::size_t size) {
+void ModelStore::append_publish(
+    std::uint64_t seq, const std::string& name, std::uint64_t version,
+    const std::uint8_t* blob, std::size_t size,
+    const std::vector<std::pair<std::string, std::uint64_t>>& evicted) {
   // Encoded before the lock: the blob is copied once, and the lock covers
   // only the write, the fsync and the rollback.
   std::vector<std::uint8_t> bytes;
   append_record(bytes, RecordKind::kPublish, seq, name, version,
                 {blob, size});
+  for (std::size_t i = 0; i < evicted.size(); ++i)
+    append_record(bytes, RecordKind::kEvict, seq + 1 + i, evicted[i].first,
+                  evicted[i].second, {});
   sync::LockGuard lock(mu_);
-  append_locked(bytes);
+  append_locked(bytes, 1 + evicted.size());
 }
 
 void ModelStore::append_evict(std::uint64_t seq, const std::string& name,
@@ -264,7 +269,7 @@ void ModelStore::append_evict(std::uint64_t seq, const std::string& name,
   std::vector<std::uint8_t> bytes;
   append_record(bytes, RecordKind::kEvict, seq, name, version, {});
   sync::LockGuard lock(mu_);
-  append_locked(bytes);
+  append_locked(bytes, 1);
 }
 
 bool ModelStore::wants_compaction() const noexcept {

@@ -112,10 +112,14 @@ class ModelStore {
   /// which case the record is not durable (a partial append is rolled
   /// back off the WAL so the file stays scannable). A name over
   /// kMaxNameBytes or a record body over kMaxRecordBodyBytes cannot be
-  /// encoded and throws before any byte is written.
-  void append_publish(std::uint64_t seq, const std::string& name,
-                      std::uint64_t version, const std::uint8_t* blob,
-                      std::size_t size);
+  /// encoded and throws before any byte is written. append_publish also
+  /// logs the (name, version) entries the publish evicted to stay within
+  /// the registry's capacity, the i-th stamped seq + 1 + i, in the same
+  /// write and the same fsync.
+  void append_publish(
+      std::uint64_t seq, const std::string& name, std::uint64_t version,
+      const std::uint8_t* blob, std::size_t size,
+      const std::vector<std::pair<std::string, std::uint64_t>>& evicted = {});
   void append_evict(std::uint64_t seq, const std::string& name,
                     std::uint64_t version);
 
@@ -141,10 +145,10 @@ class ModelStore {
  private:
   void write_all_locked(int fd, const std::uint8_t* data, std::size_t size,
                         const char* what) BMF_REQUIRES(mu_);
-  /// Write one encoded record and apply the sync policy, rolling a failed
-  /// append back off the WAL.
-  void append_locked(const std::vector<std::uint8_t>& bytes)
-      BMF_REQUIRES(mu_);
+  /// Write `records` encoded records and apply the sync policy, rolling a
+  /// failed append back off the WAL.
+  void append_locked(const std::vector<std::uint8_t>& bytes,
+                     std::size_t records) BMF_REQUIRES(mu_);
   void sync_wal_locked() BMF_REQUIRES(mu_);
 
   std::string dir_;

@@ -37,6 +37,8 @@
 namespace bmf::serve {
 namespace {
 
+#ifdef BMF_FAULT_INJECTION
+
 /// Seed offset from the environment (default 1) so ci.sh can sweep a
 /// matrix of fault schedules over the same scenarios.
 std::uint64_t chaos_seed() {
@@ -171,8 +173,6 @@ RetryPolicy quick_policy(int attempts = 6) {
   policy.seed = chaos_seed();
   return policy;
 }
-
-#ifdef BMF_FAULT_INJECTION
 
 TEST(ServeChaos, ShortReadStormIsByteIdentical) {
   Watchdog dog(120);

@@ -1,8 +1,11 @@
-// Pipelining coverage for the epoll serving path, in two layers:
+// Pipelining coverage for the epoll serving path, in three layers:
 //
 //   * unit tests for the per-connection building blocks (FrameBuffer,
-//     OrderedReplies, DeadlineWheel) — byte-level frame reassembly,
-//     ordered reply coalescing, and deadline bookkeeping with no daemon;
+//     OrderedReplies) — byte-level frame reassembly and ordered reply
+//     coalescing with no daemon;
+//   * the connection deadline, against a ConnectionLoop driven by a
+//     scripted handler: a frame still being answered keeps its connection
+//     past the deadline, and an answer pushes the deadline out;
 //   * end-to-end tests against a live Server: many frames coalesced into
 //     one write come back as strictly ordered replies, a torn frame
 //     mid-pipeline closes the connection without corrupting the replies
@@ -15,8 +18,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/connection_loop.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
@@ -182,48 +188,122 @@ TEST(OrderedReplies, OutOfOrderCompletionsDrainInRequestOrder) {
   }
 }
 
-// ---- DeadlineWheel ---------------------------------------------------------
+// ---- Connection deadline ---------------------------------------------------
 
-TEST(DeadlineWheel, ExpiresRearmsAndCancels) {
-  using Clock = DeadlineWheel::Clock;
-  const Clock::time_point start{};
-  DeadlineWheel wheel(start, /*tick_ms=*/10, /*slots=*/8);
-  const auto ms = [](int n) { return std::chrono::milliseconds(n); };
+using Clock = std::chrono::steady_clock;
 
-  wheel.set(1, start + ms(30));
-  wheel.set(2, start + ms(500));  // further out than one wheel revolution
-  EXPECT_EQ(wheel.armed(), 2u);
+/// A ConnectionLoop handler that answers every frame with a plain ok once
+/// it has held it for `hold`, from on_round — the way the server applies
+/// its workers' completions. Records when it last answered.
+class HoldingHandler final : public ConnectionLoop::Handler {
+ public:
+  HoldingHandler(ConnectionLoop& loop, std::chrono::milliseconds hold)
+      : loop_(loop), hold_(hold) {}
 
-  std::vector<std::uint64_t> expired;
-  wheel.collect(start + ms(20), expired);
-  EXPECT_TRUE(expired.empty());  // nothing due yet
+  void on_event(std::uint64_t, std::uint32_t) override {}
 
-  // Reschedule id 1 past its original deadline — the busy-connection case.
-  wheel.set(1, start + ms(200));
-  wheel.collect(start + ms(60), expired);
-  EXPECT_TRUE(expired.empty());  // stale slot entry must not fire
+  void on_round() override {
+    while (!held_.empty() && Clock::now() - held_.front().since >= hold_) {
+      last_answer_.store(Clock::now().time_since_epoch().count());
+      loop_.complete(held_.front().tag, held_.front().seq, encode_ok());
+      held_.pop_front();
+    }
+  }
 
-  wheel.collect(start + ms(240), expired);
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0], 1u);
-  EXPECT_EQ(wheel.armed(), 1u);  // expired ids disarm themselves
+  void on_frames(const std::vector<std::uint64_t>& ready) override {
+    for (const std::uint64_t tag : ready) {
+      ConnectionLoop::Conn& c = *loop_.find(tag);
+      for (; c.frames.complete_frames() > 0; c.frames.pop_front())
+        held_.push_back({tag, c.replies.reserve(), Clock::now()});
+    }
+  }
 
-  wheel.cancel(2);
-  expired.clear();
-  wheel.collect(start + ms(2000), expired);
-  EXPECT_TRUE(expired.empty());
-  EXPECT_EQ(wheel.armed(), 0u);
+  bool drain_pending() override { return false; }
+
+  Clock::time_point last_answer() const {
+    return Clock::time_point(Clock::duration(last_answer_.load()));
+  }
+
+ private:
+  struct Held {
+    std::uint64_t tag;
+    std::uint64_t seq;
+    Clock::time_point since;
+  };
+  ConnectionLoop& loop_;
+  const std::chrono::milliseconds hold_;
+  std::deque<Held> held_;
+  std::atomic<Clock::rep> last_answer_{0};
+};
+
+/// A ConnectionLoop on a UNIX socket with a 100 ms request timeout, run by
+/// a HoldingHandler on a background thread; drains and joins on
+/// destruction.
+class HoldingLoop {
+ public:
+  static constexpr int kTimeoutMs = 100;
+
+  HoldingLoop(const char* tag, std::chrono::milliseconds hold)
+      : path_(::testing::TempDir() + "/bmf_pipe_" + tag + "_" +
+              std::to_string(::getpid()) + ".sock"),
+        loop_(path_, "",
+              ConnectionLimits{.max_connections = 4,
+                               .max_pipeline = 8,
+                               .request_timeout_ms = kTimeoutMs}),
+        handler_(loop_, hold),
+        thread_([this] { loop_.run(handler_); }) {}
+
+  ~HoldingLoop() {
+    loop_.request_stop();
+    thread_.join();
+  }
+
+  UniqueFd connect() { return connect_endpoint(parse_endpoint(path_), 2000); }
+  const HoldingHandler& handler() const { return handler_; }
+
+ private:
+  std::string path_;
+  ConnectionLoop loop_;
+  HoldingHandler handler_;
+  std::thread thread_;
+};
+
+TEST(ConnectionDeadline, FrameStillBeingAnsweredOutlivesTheDeadline) {
+  // Held three request timeouts: each expiry finds the reply outstanding
+  // and re-arms instead of timing the connection out.
+  HoldingLoop loop("held",
+                   std::chrono::milliseconds(3 * HoldingLoop::kTimeoutMs));
+  UniqueFd fd = loop.connect();
+  write_frame(fd.get(), encode_request(PingRequest{}), 2000);
+  const auto reply = read_frame(fd.get(), 5000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NO_THROW(expect_ok(*reply));  // the answer, not kTimeout
 }
 
-TEST(DeadlineWheel, NextTimeoutTracksTheNearestDeadline) {
-  using Clock = DeadlineWheel::Clock;
-  const Clock::time_point start{};
-  DeadlineWheel wheel(start, /*tick_ms=*/10, /*slots=*/8);
-  EXPECT_EQ(wheel.next_timeout_ms(100), 100);  // idle: sleep the cap
-  wheel.set(7, start + std::chrono::milliseconds(35));
-  const int timeout = wheel.next_timeout_ms(100);
-  EXPECT_GT(timeout, 0);
-  EXPECT_LE(timeout, 50);  // within one tick of the deadline
+TEST(ConnectionDeadline, IdleTimeoutCountsFromTheLastAnswer) {
+  // Held 2.5 timeouts: had the answer not pushed the deadline out, the
+  // re-armed deadline would fall half a timeout after the answer.
+  HoldingLoop loop("idle",
+                   std::chrono::milliseconds(5 * HoldingLoop::kTimeoutMs / 2));
+  UniqueFd fd = loop.connect();
+  write_frame(fd.get(), encode_request(PingRequest{}), 2000);
+  const auto reply = read_frame(fd.get(), 5000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NO_THROW(expect_ok(*reply));
+
+  const auto verdict = read_frame(fd.get(), 5000);
+  const Clock::time_point arrived = Clock::now();
+  ASSERT_TRUE(verdict.has_value());
+  try {
+    expect_ok(*verdict);
+    FAIL() << "expected the idle connection's kTimeout";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.status(), Status::kTimeout);
+    EXPECT_NE(e.message().find("no request arrived"), std::string::npos);
+  }
+  EXPECT_GE(arrived - loop.handler().last_answer(),
+            std::chrono::milliseconds(HoldingLoop::kTimeoutMs));
+  EXPECT_FALSE(read_frame(fd.get(), 5000).has_value());  // then the close
 }
 
 // ---- End-to-end pipelining over a live server ------------------------------

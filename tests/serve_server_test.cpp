@@ -1,6 +1,7 @@
 // End-to-end daemon tests over a real UNIX-domain socket: a Server on a
 // background thread, Clients in the test thread. Also the TSan proof that
-// the registry/evaluator stack is race-free under a live server.
+// the registry/evaluator stack and the drain of the worker pool are
+// race-free under a live server.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <latch>
 #include <thread>
 
+#include "fault/fault.hpp"
 #include "serve/client.hpp"
 #include "serve/model_codec.hpp"
 #include "serve/protocol.hpp"
@@ -256,6 +260,153 @@ TEST(ServeServer, LiveDaemonSocketIsNotStolen) {
   // The incumbent is unharmed.
   Client client(fixture.path());
   client.ping();
+}
+
+/// (name, latest_version, retained) per listed model.
+std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>> listing(
+    Client& client) {
+  std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>> rows;
+  for (const ModelInfo& m : client.list())
+    rows.emplace_back(m.name, m.latest_version, m.retained);
+  return rows;
+}
+
+/// A fresh, empty store directory under the test temp dir.
+std::string fresh_store_dir(const char* tag) {
+  const std::string dir = ::testing::TempDir() + "/bmf_serve_store_" + tag +
+                          "_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(ServeServer, CapacityEvictionsSurviveRestart) {
+  ServerOptions options;
+  options.registry_capacity = 2;
+  options.store_dir = fresh_store_dir("capacity");
+  const std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>>
+      expected = {{"a", 1, 1}, {"b", 1, 1}};
+  {
+    ServerFixture fixture("capacity", options);
+    Client client(fixture.path());
+    client.publish("c", make_model(2, 1));
+    client.publish("b", make_model(2, 2));
+    client.publish("a", make_model(2, 3));  // evicts c, least recently used
+    ASSERT_EQ(listing(client), expected);
+  }
+  // A graceful restart from the same store serves the same set: the
+  // eviction of c is as durable as the publish of a.
+  ServerFixture restarted("capacity", options);
+  Client client(restarted.path());
+  EXPECT_EQ(listing(client), expected);
+  std::filesystem::remove_all(options.store_dir);
+}
+
+TEST(ServeServer, FailedDurablePublishPutsBackWhatItEvicted) {
+  if (!fault::compiled_in())
+    GTEST_SKIP() << "fault injection compiled out (BMF_FAULT_INJECTION=OFF)";
+  ServerOptions options;
+  options.registry_capacity = 2;
+  options.store_dir = fresh_store_dir("rollback");
+  const std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>>
+      expected = {{"b", 1, 1}, {"c", 1, 1}};
+  {
+    ServerFixture fixture("rollback", options);
+    Client client(fixture.path());
+    client.publish("c", make_model(2, 1));
+    client.publish("b", make_model(2, 2));
+    // The publish of a evicts c, then its fsync fails: a is rolled back,
+    // and c, whose eviction never reached the log, is put back.
+    fault::arm(fault::parse_plan("fsync:drop*1"));
+    try {
+      client.publish("a", make_model(2, 3));
+      ADD_FAILURE() << "expected the failed fsync to fail the publish";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.status(), Status::kInternal);
+    }
+    fault::disarm();
+    EXPECT_EQ(listing(client), expected);
+  }
+  // Memory and store agree: a restart serves the same set.
+  ServerFixture restarted("rollback", options);
+  Client client(restarted.path());
+  EXPECT_EQ(listing(client), expected);
+  std::filesystem::remove_all(options.store_dir);
+}
+
+TEST(ServeServer, DrainAnswersEveryJobInTheWorkerPool) {
+  ServerOptions options;
+  options.max_connections = 8;
+  ServerFixture fixture("drain", options);
+  // 32768 terms of eight factors each: a 1000-row batch computes for a
+  // while, yet its frame (64 KB) fits in a socket buffer and lands in one
+  // read.
+  std::vector<basis::BasisTerm> terms(32768);
+  for (std::size_t k = 0; k < terms.size(); ++k)
+    for (std::size_t r = 0; r < 8; ++r)
+      terms[k].factors.push_back(
+          {r, 1 + static_cast<unsigned>((k >> (2 * r)) % 4)});
+  const basis::BasisSet basis(8, std::move(terms));
+  stats::Rng rng(21);
+  linalg::Vector coeffs(basis.size());
+  for (double& c : coeffs) c = rng.normal();
+  FittedModel model = make_model(8, 22);
+  model.model = basis::PerformanceModel(basis, coeffs);
+  Client(fixture.path()).publish("slow", model);
+  const linalg::Matrix points = make_points(1000, 8, 23);
+  const std::vector<std::uint8_t> request =
+      encode_evaluate_request("slow", 0, points);
+  const std::vector<double> expected =
+      BatchEvaluator().evaluate(model.model, points);
+
+  // The blocker's evaluate arrives alone and runs inline on the loop
+  // thread; meanwhile the four clients, released together, send theirs.
+  // The loop reads all four in the round after the blocker's answer and
+  // hands them to the worker pool, and the stop lands while they compute.
+  // Every frame is sent before the stop: a frame still unread at the
+  // drain is never answered.
+  constexpr std::size_t kClients = 4;
+  UniqueFd blocker = connect_unix(fixture.path(), 2000);
+  std::vector<UniqueFd> fds;
+  for (std::size_t i = 0; i < kClients; ++i)
+    fds.push_back(connect_unix(fixture.path(), 2000));
+  std::latch release(1);
+  std::latch sent(kClients);
+  std::vector<std::vector<double>> values(kClients);
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      release.wait();
+      bool counted = false;
+      try {
+        write_frame(fds[i].get(), request, 5000);
+        sent.count_down();
+        counted = true;
+        const auto reply = read_frame(fds[i].get(), 60000);
+        if (!reply) throw ServeError(Status::kInternal, "test", "closed");
+        const auto [body, size] = expect_ok(*reply);
+        values[i] = decode_evaluate_response(body, size).values;
+      } catch (const ServeError& e) {
+        errors[i] = e.what();
+      }
+      if (!counted) sent.count_down();
+    });
+  }
+  write_frame(blocker.get(), request, 5000);
+  release.count_down();
+  const auto blocked = read_frame(blocker.get(), 60000);
+  sent.wait();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  fixture.server().request_stop();
+  for (std::thread& t : clients) t.join();
+
+  ASSERT_TRUE(blocked.has_value());
+  const auto [body, size] = expect_ok(*blocked);
+  EXPECT_EQ(decode_evaluate_response(body, size).values, expected);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    EXPECT_EQ(errors[i], "") << "client " << i;
+    EXPECT_EQ(values[i], expected) << "client " << i;
+  }
 }
 
 TEST(ServeServer, ResponsesAreBitIdenticalAcrossConnections) {

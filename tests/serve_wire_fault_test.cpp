@@ -24,6 +24,8 @@
 namespace bmf::serve {
 namespace {
 
+#ifdef BMF_FAULT_INJECTION
+
 /// Aborts the whole process if a test exceeds its deadline — a hang is
 /// exactly the failure mode this suite exists to rule out, so it must
 /// fail loudly rather than stall CI.
@@ -97,8 +99,6 @@ std::vector<std::uint8_t> round_trip(const SocketPair& pair,
   EXPECT_TRUE(got.has_value());
   return got.value_or(std::vector<std::uint8_t>{});
 }
-
-#ifdef BMF_FAULT_INJECTION
 
 TEST(WireFault, ShortReadsReassembleByteExactly) {
   Watchdog dog(30);
