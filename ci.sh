@@ -52,8 +52,9 @@
 #      workers do.
 #   7. SIMD level matrix: the full Release test suite re-runs with
 #      BMF_SIMD_LEVEL pinned to every level this host can execute (plus
-#      the kernel suite under ASan/UBSan per level), so the scalar and
-#      AVX2 code paths stay covered on machines whose dispatcher would
+#      the kernel and eigensolver suites under ASan/UBSan per level, which
+#      cover the QL rotation kernel's masked panel tails), so the scalar
+#      and AVX2 code paths stay covered on machines whose dispatcher would
 #      otherwise always pick AVX-512. Unavailable levels are skipped —
 #      the matrix must pass on a non-AVX host. Each level also runs the
 #      benchmark's fit_sram workload for 2 s: its correctness gate holds
@@ -213,8 +214,9 @@ for level in scalar avx2 avx512; do
   echo "-- BMF_SIMD_LEVEL=$level: Release test suite --"
   BMF_SIMD_LEVEL="$level" ctest --test-dir "$src_dir/build-ci-release" \
       --output-on-failure
-  echo "-- BMF_SIMD_LEVEL=$level: kernel suite under ASan/UBSan --"
+  echo "-- BMF_SIMD_LEVEL=$level: kernel and eigensolver suites under ASan/UBSan --"
   BMF_SIMD_LEVEL="$level" "$src_dir/build-ci-checked/tests/simd_kernels_test"
+  BMF_SIMD_LEVEL="$level" "$src_dir/build-ci-checked/tests/eigen_sym_test"
   echo "-- BMF_SIMD_LEVEL=$level: fit_sram benchmark correctness gate --"
   (cd "$src_dir" && BMF_SIMD_LEVEL="$level" python3 perfbench/run.py \
       --workload fit_sram --seed 1 --seconds 2 --trace 0)

@@ -6,7 +6,10 @@
 // reduction keeps a fully symmetric working block so its mat-vec and rank-2
 // update are per-row dot/axpy calls into the active SIMD kernel table, and
 // the transform is accumulated transposed so each QL rotation acts on two
-// contiguous rows. Serial; deterministic within a SIMD level.
+// contiguous rows. The QL iteration records its rotations sweep by sweep
+// and applies them in segments through the table's rotate_sweeps kernel,
+// which is bitwise equal at every level. Serial; deterministic within a
+// SIMD level.
 //
 // Used by the BMF cross-validation engine and MAP workspace so that the
 // K x K kernel solve (tau I + B)^{-1} can be applied for an entire

@@ -2,12 +2,12 @@
 //
 // One KernelTable per instruction-set level (scalar / AVX2+FMA / AVX-512)
 // implements the innermost loops the blas and basis layers run constantly:
-// inner products, axpy, the 4x8 gemm microkernel, elementwise scaling, and
-// the lane-parallel Hermite three-term recurrence. The table is selected
-// once per process — cpuid at first use, overridable with
-// BMF_SIMD_LEVEL={scalar,avx2,avx512} — and every higher-level kernel in
-// linalg/blas.cpp and basis/basis_set.cpp routes its inner loop through
-// the active table.
+// inner products, axpy, the 4x8 gemm microkernel, elementwise scaling, the
+// lane-parallel Hermite three-term recurrence, and the eigensolver's QL
+// rotation sweeps. The table is selected once per process — cpuid at
+// first use, overridable with BMF_SIMD_LEVEL={scalar,avx2,avx512} — and
+// every higher-level kernel in linalg/blas.cpp, linalg/eigen_sym.cpp and
+// basis/basis_set.cpp routes its inner loop through the active table.
 //
 // Determinism contract (see DESIGN.md "SIMD kernel dispatch"):
 //   * Within a level, every kernel's FP accumulation order depends only on
@@ -17,7 +17,10 @@
 //   * Across levels, results agree only to rounding (wider accumulator
 //     trees and FMA contraction change the rounding sequence); callers that
 //     compare levels must use the tight ulp-scale tolerances the
-//     simd_kernels tests pin down.
+//     simd_kernels tests pin down. The one exception is rotate_sweeps,
+//     which is elementwise with separately rounded products and so is
+//     bitwise equal at every level (the kernel TUs build with
+//     -ffp-contract=off, so no mul/add pair is fused behind its back).
 //
 // Intrinsics are confined to src/linalg/kernels/ (lint.sh rule 7); this
 // header is plain C++ so the rest of the repo stays ISA-agnostic.
@@ -35,6 +38,15 @@ enum class SimdLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// the blocked gemm driver never needs to know which table is active.
 inline constexpr std::size_t kMicroRows = 4;
 inline constexpr std::size_t kMicroCols = 8;
+
+/// One chain of plane rotations on the rows [lo, hi) of a matrix: rotation
+/// j (j = 0 .. hi - lo - 2) acts on rows (hi - 2 - j, hi - 1 - j), so the
+/// chain climbs from row hi - 1 to row lo and each rotation shares a row
+/// with the next. A QL sweep is one chain.
+struct RotationSweep {
+  std::size_t lo;
+  std::size_t hi;
+};
 
 /// Innermost-loop kernels over raw arrays. All pointers must be valid for
 /// the stated extents; input and output ranges must not alias.
@@ -69,6 +81,20 @@ struct KernelTable {
   /// through the full vector path).
   void (*hermite_all)(unsigned max_degree, const double* x, std::size_t n,
                       double* out, std::size_t ldo);
+
+  /// Applies `nsweeps` rotation chains, in order, to columns [0, cols) of
+  /// the row-major `z` (row stride ldz >= cols); columns past cols are
+  /// never touched. `cs` holds every rotation's (c, s) pair in application
+  /// order. A rotation of rows (i, i + 1) sets, per column,
+  ///   z[i + 1] = s * z[i] + c * z[i + 1],  z[i] = c * z[i] - s * z[i + 1]
+  /// from the old values, each product rounded on its own, so every level
+  /// gives the same bits. The AVX2 and AVX-512 levels share one AVX2
+  /// kernel that walks 32-column panels and keeps the row a chain's
+  /// consecutive rotations share in registers; the scalar level applies a
+  /// chain two rotations per pass over the rows.
+  void (*rotate_sweeps)(const RotationSweep* sweeps, std::size_t nsweeps,
+                        const double* cs, double* z, std::size_t ldz,
+                        std::size_t cols);
 };
 
 /// "scalar" / "avx2" / "avx512".

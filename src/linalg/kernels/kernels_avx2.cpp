@@ -177,12 +177,88 @@ void hermite_all_avx2(unsigned max_degree, const double* x, std::size_t n,
   }
 }
 
+// Loads/stores lane-group v of an NV-group panel row; only the last group
+// of a tail panel is masked.
+template <int NV, bool Tail>
+inline __m256d load_group(const double* p, int v, __m256i tail) {
+  if constexpr (Tail)
+    if (v == NV - 1) return _mm256_maskload_pd(p, tail);
+  return _mm256_loadu_pd(p);
+}
+
+template <int NV, bool Tail>
+inline void store_group(double* p, int v, __m256i tail, __m256d x) {
+  if constexpr (Tail) {
+    if (v == NV - 1) {
+      _mm256_maskstore_pd(p, tail, x);
+      return;
+    }
+  }
+  _mm256_storeu_pd(p, x);
+}
+
+// Every chain applied to one panel of NV lane-groups: the row a chain's
+// consecutive rotations share (`t`) stays in registers, so each element is
+// loaded and stored once per chain. mul then add/sub, never fused, to give
+// the scalar table's bits.
+template <int NV, bool Tail>
+void rotate_panel_avx2(const RotationSweep* sweeps, std::size_t nsweeps,
+                       const double* cs, double* z, std::size_t ldz,
+                       __m256i tail) {
+  for (std::size_t w = 0; w < nsweeps; ++w) {
+    std::size_t i = sweeps[w].hi - 1;
+    __m256d t[NV];
+    for (int v = 0; v < NV; ++v)
+      t[v] = load_group<NV, Tail>(z + i * ldz + 4 * v, v, tail);
+    while (i-- > sweeps[w].lo) {
+      const __m256d c = _mm256_set1_pd(cs[0]);
+      const __m256d s = _mm256_set1_pd(cs[1]);
+      cs += 2;
+      double* zi = z + i * ldz;
+      for (int v = 0; v < NV; ++v) {
+        const __m256d x = load_group<NV, Tail>(zi + 4 * v, v, tail);
+        store_group<NV, Tail>(
+            zi + ldz + 4 * v, v, tail,
+            _mm256_add_pd(_mm256_mul_pd(s, x), _mm256_mul_pd(c, t[v])));
+        t[v] = _mm256_sub_pd(_mm256_mul_pd(c, x), _mm256_mul_pd(s, t[v]));
+      }
+    }
+    for (int v = 0; v < NV; ++v)
+      store_group<NV, Tail>(z + sweeps[w].lo * ldz + 4 * v, v, tail, t[v]);
+  }
+}
+
+}  // namespace
+
+// 32-column panels (8 ymm per row), then one masked panel of 1..8 groups.
+// Also the AVX-512 table's entry (see tables.hpp).
+void rotate_sweeps_avx2(const RotationSweep* sweeps, std::size_t nsweeps,
+                        const double* cs, double* z, std::size_t ldz,
+                        std::size_t cols) {
+  std::size_t k = 0;
+  for (; k + 32 <= cols; k += 32)
+    rotate_panel_avx2<8, false>(sweeps, nsweeps, cs, z + k, ldz,
+                                _mm256_setzero_si256());
+  if (k == cols) return;
+  const std::size_t rem = cols - k;
+  const long long lanes = static_cast<long long>(rem - 4 * ((rem - 1) / 4));
+  const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes),
+                                          _mm256_setr_epi64x(0, 1, 2, 3));
+  using Panel = void (*)(const RotationSweep*, std::size_t, const double*,
+                         double*, std::size_t, __m256i);
+  static constexpr Panel kTailPanels[8] = {
+      rotate_panel_avx2<1, true>, rotate_panel_avx2<2, true>,
+      rotate_panel_avx2<3, true>, rotate_panel_avx2<4, true>,
+      rotate_panel_avx2<5, true>, rotate_panel_avx2<6, true>,
+      rotate_panel_avx2<7, true>, rotate_panel_avx2<8, true>};
+  kTailPanels[(rem + 3) / 4 - 1](sweeps, nsweeps, cs, z + k, ldz, tail);
+}
+
 constexpr KernelTable kAvx2Table{
     SimdLevel::kAvx2, dot_avx2,  dot3_avx2,      axpy_avx2,
     mul_avx2,         micro_4x8_avx2, hermite_all_avx2,
+    rotate_sweeps_avx2,
 };
-
-}  // namespace
 
 const KernelTable* avx2_table() { return &kAvx2Table; }
 

@@ -160,6 +160,7 @@ void hermite_all_avx512(unsigned max_degree, const double* x, std::size_t n,
 constexpr KernelTable kAvx512Table{
     SimdLevel::kAvx512, dot_avx512, dot3_avx512,      axpy_avx512,
     mul_avx512,         micro_4x8_avx512, hermite_all_avx512,
+    rotate_sweeps_avx2,
 };
 
 }  // namespace

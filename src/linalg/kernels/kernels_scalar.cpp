@@ -88,10 +88,48 @@ void hermite_all_scalar(unsigned max_degree, const double* x, std::size_t n,
   }
 }
 
+// A chain two rotations per pass over the columns: rows (i - 1, i), then
+// (i - 2, i - 1), with the row they share kept in a register. A pass loads
+// and stores three rows where two single-rotation passes move four, and
+// it still vectorizes over the columns. Each element sees the same
+// operations in the same order as one rotation at a time.
+void rotate_sweeps_scalar(const RotationSweep* sweeps, std::size_t nsweeps,
+                          const double* cs, double* z, std::size_t ldz,
+                          std::size_t cols) {
+  for (std::size_t w = 0; w < nsweeps; ++w) {
+    const std::size_t lo = sweeps[w].lo;
+    std::size_t i = sweeps[w].hi - 1;  // next rotation: rows (i - 1, i)
+    for (; i >= lo + 2; i -= 2, cs += 4) {
+      const double c0 = cs[0], s0 = cs[1], c1 = cs[2], s1 = cs[3];
+      double* __restrict z2 = z + i * ldz;
+      double* __restrict z1 = z2 - ldz;
+      double* __restrict z0 = z1 - ldz;
+      for (std::size_t k = 0; k < cols; ++k) {
+        const double t = z2[k], x = z1[k], y = z0[k];
+        z2[k] = s0 * x + c0 * t;
+        const double u = c0 * x - s0 * t;
+        z1[k] = s1 * y + c1 * u;
+        z0[k] = c1 * y - s1 * u;
+      }
+    }
+    if (i == lo + 1) {
+      const double c = cs[0], s = cs[1];
+      cs += 2;
+      double* __restrict z1 = z + i * ldz;
+      double* __restrict z0 = z1 - ldz;
+      for (std::size_t k = 0; k < cols; ++k) {
+        const double t = z1[k], x = z0[k];
+        z1[k] = s * x + c * t;
+        z0[k] = c * x - s * t;
+      }
+    }
+  }
+}
+
 constexpr KernelTable kScalarTable{
     SimdLevel::kScalar, dot_scalar,      dot3_scalar,
     axpy_scalar,        mul_scalar,      micro_4x8_scalar,
-    hermite_all_scalar,
+    hermite_all_scalar, rotate_sweeps_scalar,
 };
 
 }  // namespace

@@ -36,7 +36,8 @@ namespace {
 bmf::router::Router* g_router = nullptr;
 
 extern "C" void handle_signal(int) {
-  // request_stop only stores to an atomic<bool> — async-signal-safe.
+  // request_stop is an atomic store plus an eventfd write(2), errno
+  // preserved — async-signal-safe.
   if (g_router != nullptr) g_router->request_stop();
 }
 

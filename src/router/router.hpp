@@ -96,7 +96,7 @@ class Router {
   /// drain (every request already received is answered). One thread only.
   void run();
 
-  /// Async-signal-safe stop request (noticed within one ~100 ms tick).
+  /// Async-signal-safe stop request; wakes the event loop at once.
   void request_stop() noexcept { loop_->request_stop(); }
 
   bool stop_requested() const noexcept { return loop_->stop_requested(); }

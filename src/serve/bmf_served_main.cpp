@@ -44,7 +44,8 @@ namespace {
 bmf::serve::Server* g_server = nullptr;
 
 extern "C" void handle_signal(int) {
-  // request_stop only stores to an atomic<bool> — async-signal-safe.
+  // request_stop is an atomic store plus an eventfd write(2), errno
+  // preserved — async-signal-safe.
   if (g_server != nullptr) g_server->request_stop();
 }
 

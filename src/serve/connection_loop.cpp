@@ -15,8 +15,8 @@ namespace bmf::serve {
 
 namespace {
 
-/// Epoll timeout cap: the latency bound on noticing request_stop(), and
-/// the handler's on_round cadence when nothing else wakes the loop.
+/// Epoll timeout cap: the handler's on_round cadence when nothing else
+/// wakes the loop (request_stop() and wake() end the wait at once).
 constexpr int kLoopTickMs = 100;
 
 /// Deadline for the best-effort error reply on a shed or timed-out
@@ -30,6 +30,7 @@ constexpr std::size_t kReadChunkBytes = std::size_t{64} * 1024;
 
 constexpr std::uint64_t kTagUnixListener = 1;
 constexpr std::uint64_t kTagTcpListener = 2;
+constexpr std::uint64_t kTagWakeup = 3;
 
 using Clock = std::chrono::steady_clock;
 
@@ -80,6 +81,7 @@ ConnectionLoop::ConnectionLoop(const std::string& socket_path,
     throw ServeError(Status::kInternal, "listen",
                      "no transport configured: set socket_path and/or "
                      "tcp_address");
+  poller_.add(wakeup_.fd(), EPOLLIN, kTagWakeup);
   if (!socket_path.empty()) {
     unix_listen_ = listen_unix(socket_path);
     set_nonblocking(unix_listen_.get());
@@ -101,6 +103,13 @@ ConnectionLoop::~ConnectionLoop() {
   if (!socket_path_.empty()) ::unlink(socket_path_.c_str());
 }
 
+void ConnectionLoop::request_stop() noexcept {
+  const int saved_errno = errno;  // may run inside a signal handler
+  stop_.store(true, std::memory_order_relaxed);
+  wake();
+  errno = saved_errno;
+}
+
 void ConnectionLoop::run(Handler& handler) {
   std::array<struct epoll_event, 64> events{};
   int wait_ms = kLoopTickMs;
@@ -112,7 +121,9 @@ void ConnectionLoop::run(Handler& handler) {
     for (int i = 0; i < n; ++i) {
       const std::uint64_t tag = events[static_cast<std::size_t>(i)].data.u64;
       const std::uint32_t ev = events[static_cast<std::size_t>(i)].events;
-      if (tag == kTagUnixListener) {
+      if (tag == kTagWakeup) {
+        wakeup_.drain();  // on_round below; the stop check next round
+      } else if (tag == kTagUnixListener) {
         accept_burst(unix_listen_, /*tcp=*/false);
       } else if (tag == kTagTcpListener) {
         accept_burst(tcp_listen_, /*tcp=*/true);

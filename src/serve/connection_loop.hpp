@@ -24,8 +24,9 @@
 // What a frame means belongs to the Handler. Once per round the loop hands
 // it the connections holding complete frames; the handler consumes frames
 // and answers each with complete(), in the same round or a later one. It
-// may register fds of its own with poller() (the server's wakeup eventfd,
-// the router's backend sockets) and gets their events back.
+// may register fds of its own with poller() (the router's backend
+// sockets) and gets their events back; threads of its own end the loop's
+// wait with wake() (the server's workers, once a completion is queued).
 #pragma once
 
 #include <atomic>
@@ -127,12 +128,16 @@ class ConnectionLoop {
   /// Serve until request_stop(), then drain and return. One thread only.
   void run(Handler& handler);
 
-  /// Async-signal-safe (a relaxed atomic store); noticed within one
-  /// ~100 ms round: the loop's epoll timeout is capped at that tick.
-  void request_stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  /// Async-signal-safe (an atomic store, then wake() with errno
+  /// preserved): an idle daemon starts its drain at once, without waiting
+  /// out a round.
+  void request_stop() noexcept;
   bool stop_requested() const noexcept {
     return stop_.load(std::memory_order_relaxed);
   }
+  /// Ends the loop's current epoll_wait, so it runs a round (on_round
+  /// included) now. Any thread; async-signal-safe (one eventfd write(2)).
+  void wake() noexcept { wakeup_.signal(); }
 
   /// The TCP endpoint actually bound (port 0 resolved); .tcp is false when
   /// no TCP listener is configured.
@@ -179,6 +184,7 @@ class ConnectionLoop {
   Endpoint tcp_endpoint_;
   Poller poller_;
   std::atomic<bool> stop_{false};
+  WakeupFd wakeup_;  // see wake()
   std::atomic<std::uint64_t> shed_{0};
   // Ordered containers (repo lint: no unordered ones in serve sources).
   ConnMap conns_;

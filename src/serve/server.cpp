@@ -15,22 +15,15 @@
 
 namespace bmf::serve {
 
-namespace {
-
-constexpr std::uint64_t kTagWakeup = ConnectionLoop::kHandlerTagBase;
-
-}  // namespace
-
 /// run()'s compute stage behind the connection loop: the worker pool and
 /// its hand-off queues. Lives on run()'s stack, so the workers outlive the
 /// loop's drain and stop only when run() destroys the stage. Loop-thread
-/// only except jobs_/stopping_/done_ (mutex-protected) and the wakeup fd —
+/// only except jobs_/stopping_/done_ (mutex-protected) and loop_.wake() —
 /// the only points the workers touch.
 class ComputeStage final : public ConnectionLoop::Handler {
  public:
   ComputeStage(Server& server, ConnectionLoop& loop)
       : server_(server), loop_(loop) {
-    loop_.poller().add(wakeup_.fd(), EPOLLIN, kTagWakeup);
     workers_.reserve(server_.options_.worker_threads);
     for (std::size_t i = 0; i < server_.options_.worker_threads; ++i)
       workers_.emplace_back([this] { worker_body(); });
@@ -48,11 +41,11 @@ class ComputeStage final : public ConnectionLoop::Handler {
   ComputeStage(const ComputeStage&) = delete;
   ComputeStage& operator=(const ComputeStage&) = delete;
 
-  void on_event(std::uint64_t, std::uint32_t) override { wakeup_.drain(); }
+  void on_event(std::uint64_t, std::uint32_t) override {}  // no fds of its own
   void on_round() override;
   void on_frames(const std::vector<std::uint64_t>& ready) override;
   /// Handed-off jobs still outstanding. The workers outlive the drain, and
-  /// each completion wakes the loop through the eventfd.
+  /// each completion wakes the loop (loop_.wake()).
   bool drain_pending() override {
     return server_.queue_depth_.load(std::memory_order_relaxed) != 0;
   }
@@ -76,7 +69,6 @@ class ComputeStage final : public ConnectionLoop::Handler {
 
   Server& server_;
   ConnectionLoop& loop_;
-  WakeupFd wakeup_;
   /// The two hand-off points between the loop thread and the worker pool
   /// (DESIGN.md §11). Lock order: jobs_mu_ and done_mu_ are never held
   /// together — each critical section touches exactly one queue.
@@ -112,7 +104,7 @@ void ComputeStage::worker_body() {
       sync::LockGuard lk(done_mu_);
       done_.push_back(std::move(done));
     }
-    wakeup_.signal();
+    loop_.wake();  // on_round applies it
   }
 }
 

@@ -5,10 +5,10 @@
 //
 // What the server adds is the compute stage behind the loop. A worker
 // pool takes decoded frames (decode -> evaluate -> encode run on the
-// worker) and returns completions through a wakeup eventfd the loop
-// polls. Requests on one connection execute one at a time, in order —
-// pipelining amortizes round-trips and syscalls, it never reorders a
-// connection's semantics. When exactly one connection has work and no
+// worker) and returns completions to a queue the loop drains once the
+// worker wake()s it. Requests on one connection execute one at a time, in
+// order — pipelining amortizes round-trips and syscalls, it never reorders
+// a connection's semantics. When exactly one connection has work and no
 // worker job is outstanding, its whole pipelined burst runs inline on the
 // loop thread instead, decoded straight out of the read buffer: the
 // single-stream fast path, which keeps a lone client free of handoff
@@ -88,9 +88,8 @@ class Server {
   /// (kShutdown request or request_stop()). Call from one thread only.
   void run();
 
-  /// Ask run() to drain and return (noticed within ~100 ms: the loop's
-  /// epoll timeout is capped at that tick). Async-signal-safe: only
-  /// performs a relaxed atomic store.
+  /// Ask run() to drain and return; wakes the event loop at once.
+  /// Async-signal-safe: an atomic store and an eventfd write(2).
   void request_stop() noexcept { loop_->request_stop(); }
 
   bool stop_requested() const noexcept { return loop_->stop_requested(); }

@@ -194,10 +194,11 @@ class Poller {
   UniqueFd epfd_;
 };
 
-/// Event-loop wakeup channel (eventfd): worker threads signal() when a
-/// completion is queued; the loop owns the read end registered with its
-/// Poller and drain()s on wakeup. signal() is async-signal-safe and never
-/// throws — it must be callable from any thread at any time.
+/// Event-loop wakeup channel (eventfd): ConnectionLoop::wake() signal()s
+/// it (a stop request, a worker's queued completion); the loop owns the
+/// read end registered with its Poller and drain()s on wakeup. signal() is
+/// async-signal-safe and never throws — it must be callable from any
+/// thread at any time.
 class WakeupFd {
  public:
   WakeupFd();  // throws ServeError(kInternal) if eventfd fails

@@ -1,5 +1,5 @@
 // Contract tests for the runtime-dispatched SIMD kernel layer
-// (src/linalg/kernels/). Four claims are pinned down:
+// (src/linalg/kernels/). Five claims are pinned down:
 //
 //   1. Every kernel handles ragged extents (tails shorter than a vector
 //      lane, zero-length inputs) at every compiled-in level.
@@ -12,6 +12,9 @@
 //      exactly.
 //   4. The dispatch-reporting API (dispatch_info, level_name,
 //      parse_level, table_for, force_active_level) is self-consistent.
+//   5. The QL rotation sweep (rotate_sweeps) is the exception to 3: every
+//      level gives the bits of one rotation at a time, and no level writes
+//      past the columns it is given.
 //
 // Levels the host cannot run are skipped, not failed: the suite must pass
 // on a non-AVX machine where only the scalar table is available.
@@ -268,6 +271,77 @@ TEST(SimdKernels, DesignMatrixCrossLevelTolerance) {
     for (std::size_t i = 0; i < got.size(); ++i)
       EXPECT_NEAR(got.data()[i], ref.data()[i],
                   1e-12 * std::max(1.0, std::abs(ref.data()[i])));
+  }
+}
+
+std::vector<double> random_rotations(std::size_t count, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<double> cs(2 * count);
+  for (std::size_t j = 0; j < count; ++j) {
+    const double theta = rng.uniform(0.0, 6.283185307179586);
+    cs[2 * j] = std::cos(theta);
+    cs[2 * j + 1] = std::sin(theta);
+  }
+  return cs;
+}
+
+// The rotation chains applied one rotation at a time, each a pass over
+// two full rows: the definition every level must reproduce.
+void rotate_one_at_a_time(const std::vector<kn::RotationSweep>& sweeps,
+                          const double* cs, double* z, std::size_t ldz,
+                          std::size_t cols) {
+  for (const kn::RotationSweep& w : sweeps) {
+    for (std::size_t i = w.hi - 1; i-- > w.lo; cs += 2) {
+      double* zi = z + i * ldz;
+      double* zi1 = zi + ldz;
+      for (std::size_t k = 0; k < cols; ++k) {
+        const double x = zi[k], t = zi1[k];
+        zi1[k] = cs[1] * x + cs[0] * t;
+        zi[k] = cs[0] * x - cs[1] * t;
+      }
+    }
+  }
+}
+
+// Every level's rotate_sweeps, the scalar table's included, equals the
+// one-at-a-time rotations bit for bit, on column counts across two
+// 32-column panels and every masked tail, with the row stride both tight
+// and wider than the rotated columns. The columns past `cols` must come
+// back unchanged at every level.
+TEST(SimdKernels, RotateSweepsMatchOneAtATimeBitwise) {
+  constexpr std::size_t kRows = 130;
+  constexpr std::size_t kPanel = 32;
+  // Single rotations at both ends and in the middle, and chains of more
+  // than 100 rotations (odd and even), in mixed order.
+  const std::vector<kn::RotationSweep> sweeps = {
+      {5, 7}, {0, kRows}, {kRows - 2, kRows}, {3, 120},
+      {0, 2}, {60, 62},   {17, kRows - 1},    {64, 66}};
+  std::size_t rotations = 0;
+  for (const kn::RotationSweep& w : sweeps) rotations += w.hi - w.lo - 1;
+  const std::vector<double> cs = random_rotations(rotations, 43);
+  for (kn::SimdLevel level : available_levels()) {
+    SCOPED_TRACE(kn::level_name(level));
+    const kn::KernelTable& kt = kn::table_for(level);
+    for (std::size_t cols = 1; cols <= 2 * kPanel + 3; ++cols) {
+      for (std::size_t pad : {std::size_t{0}, std::size_t{3}}) {
+        SCOPED_TRACE(testing::Message() << "cols " << cols << " pad " << pad);
+        const std::size_t ldz = cols + pad;
+        const std::vector<double> z0 = random_vec(kRows * ldz, 1000 + ldz);
+        std::vector<double> want = z0, got = z0;
+        rotate_one_at_a_time(sweeps, cs.data(), want.data(), ldz, cols);
+        kt.rotate_sweeps(sweeps.data(), sweeps.size(), cs.data(), got.data(),
+                         ldz, cols);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0);
+        for (std::size_t i = 0; i < kRows; ++i)
+          for (std::size_t k = cols; k < ldz; ++k)
+            EXPECT_EQ(std::memcmp(&got[i * ldz + k], &z0[i * ldz + k],
+                                  sizeof(double)),
+                      0)
+                << "row " << i << " column " << k;
+      }
+    }
   }
 }
 
